@@ -55,7 +55,11 @@ echo "==> fused block decode exactness"
 # per-subcarrier loop and to per-vector decoding — across the stock and
 # quantized fusable tiers, for degenerate blocks, and with budgets
 # tripped and untripped — and exactly allocation-free in steady state.
+# Engines keep no per-decode state, so one engine shared by two threads
+# (and by two serve workers) must decode exactly as it does on one.
 cargo test -q --release --test block_fused
+cargo test -q --release --test block_fused shared_quantized_engines_decode_concurrently
+cargo test -q --release --test serve_frames kbest_fx_frames_through_two_workers
 cargo test -q --release --test alloc_free fused_block_decode
 
 echo "==> anytime exactness + truncation + predictive admission"
@@ -74,6 +78,14 @@ echo "==> serve_demo --smoke"
 # and self-validating the JSON line — including the quality-counter and
 # predictive-shed rows — (non-zero on failure).
 cargo run --release --example serve_demo -- --smoke >/dev/null
+
+echo "==> servebench --smoke + self-tests"
+# The serving benchmark re-decodes a sample of every workload's served
+# decisions and fails on any mismatch, so a serve-path change that breaks
+# exactness under real traffic fails here. Read-only: builds into
+# servebench/target and writes only servebench/out.
+cargo run --release --offline --manifest-path servebench/Cargo.toml -- --smoke >/dev/null
+cargo test --release --offline --manifest-path servebench/Cargo.toml
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -23,6 +23,7 @@
 
 use crate::best_first::OpenNode;
 use crate::pd::PdScratch;
+use crate::quantized::FxState;
 use crate::trace::{SearchTelemetry, TraceSink};
 use sd_math::Float;
 use std::collections::BinaryHeap;
@@ -147,6 +148,10 @@ impl Iterator for Ancestry<'_> {
 
 /// Every reusable buffer one tree search needs. Create once, pass to
 /// `detect_prepared_in` repeatedly; all capacity survives between decodes.
+///
+/// The workspace is the *only* per-decode mutable state: detectors are
+/// shared read-only (a serve registry hands one engine to every worker),
+/// so each thread decoding concurrently brings its own workspace.
 pub struct SearchWorkspace<F: Float> {
     /// Node pool shared by the arena-based searches.
     pub(crate) arena: NodeArena,
@@ -176,6 +181,9 @@ pub struct SearchWorkspace<F: Float> {
     pub(crate) best_path: Vec<usize>,
     /// Per-depth `(increment, child)` sort buffers for sorted descent.
     pub(crate) sort_bufs: Vec<Vec<(F, usize)>>,
+    /// Integer search state of the quantized engines (the quantized
+    /// problem, frontiers, kernel planes).
+    pub(crate) fx: FxState,
     /// Optional observability sink; engines emit search events into it
     /// when present and skip every emission when `None`.
     pub(crate) trace: Option<Box<dyn TraceSink>>,
@@ -198,6 +206,7 @@ impl<F: Float> SearchWorkspace<F> {
             path: Vec::new(),
             best_path: Vec::new(),
             sort_bufs: Vec::new(),
+            fx: FxState::default(),
             trace: None,
         }
     }

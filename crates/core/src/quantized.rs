@@ -28,7 +28,7 @@
 //! (multiplies, adds, compares of the fixed kernels) so throughput ratios
 //! against the float engines compare like for like.
 
-use crate::arena::{SearchWorkspace, NIL};
+use crate::arena::{NodeArena, SearchWorkspace, NIL};
 use crate::detector::{Detection, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::preprocess::{BlockPrep, Prepared};
@@ -39,7 +39,6 @@ use sd_math::fixed::{
 };
 use sd_math::fxkernel::{fx_expand_level, fx_expand_level_multi, fx_metric_update};
 use sd_wireless::{Constellation, FrameData};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Measured BER-degradation budget of the quantized engines against their
@@ -235,10 +234,13 @@ impl FxPrepared {
     }
 }
 
-/// Reused integer search state (planes, frontiers, stacks) behind each
-/// engine's `&self` decode entry point.
+/// Reused integer search state of the quantized engines (the quantized
+/// problem, kernel planes, frontiers, DFS stacks). It lives in the
+/// caller's [`SearchWorkspace`], not in the engine: an engine shared
+/// across threads holds no per-decode mutable state, so concurrent
+/// decodes never serialize on it.
 #[derive(Debug, Default)]
-struct FxState {
+pub(crate) struct FxState {
     fx: FxPrepared,
     frontier: Vec<(i64, u32)>,
     next: Vec<(i64, u32)>,
@@ -276,7 +278,7 @@ fn fx_level_ops(b: usize, depth: usize, p: usize) -> u64 {
 /// of the float batcher's gather.
 fn gather_planes(
     fx: &FxPrepared,
-    arena: &crate::arena::NodeArena,
+    arena: &NodeArena,
     ids: &[u32],
     depth: usize,
     s_re: &mut Vec<i16>,
@@ -298,19 +300,12 @@ fn gather_planes(
 /// Expand one level of a batched sweep: quantized kernel over all nodes
 /// in `st.frontier`, leaving increments in `st.inc` (`b × p` row-major).
 /// Returns the integer-op count.
-fn expand_frontier(st: &mut FxState, ws: &mut SearchWorkspace<f64>, depth: usize) -> u64 {
+fn expand_frontier(st: &mut FxState, arena: &NodeArena, ids: &mut Vec<u32>, depth: usize) -> u64 {
     let b = st.frontier.len();
     let p = st.fx.order;
-    ws.ids.clear();
-    ws.ids.extend(st.frontier.iter().map(|&(_, id)| id));
-    gather_planes(
-        &st.fx,
-        &ws.arena,
-        &ws.ids,
-        depth,
-        &mut st.s_re,
-        &mut st.s_im,
-    );
+    ids.clear();
+    ids.extend(st.frontier.iter().map(|&(_, id)| id));
+    gather_planes(&st.fx, arena, ids, depth, &mut st.s_re, &mut st.s_im);
     let metric = st.metric;
     if st.w_re.len() < b {
         st.w_re.resize(b, 0);
@@ -345,7 +340,8 @@ fn expand_frontier(st: &mut FxState, ws: &mut SearchWorkspace<f64>, depth: usize
 /// per-subcarrier [`expand_frontier`] call.
 fn expand_frontier_fused(
     st: &mut FxState,
-    ws: &mut SearchWorkspace<f64>,
+    arena: &NodeArena,
+    ids: &mut Vec<u32>,
     depth: usize,
     fl: usize,
     b_count: usize,
@@ -353,16 +349,9 @@ fn expand_frontier_fused(
     let b = st.frontier.len();
     debug_assert_eq!(b, fl * b_count, "fused frontier must stack equal blocks");
     let p = st.fx.order;
-    ws.ids.clear();
-    ws.ids.extend(st.frontier.iter().map(|&(_, id)| id));
-    gather_planes(
-        &st.fx,
-        &ws.arena,
-        &ws.ids,
-        depth,
-        &mut st.s_re,
-        &mut st.s_im,
-    );
+    ids.clear();
+    ids.extend(st.frontier.iter().map(|&(_, id)| id));
+    gather_planes(&st.fx, arena, ids, depth, &mut st.s_re, &mut st.s_im);
     st.y_lane_re.clear();
     st.y_lane_im.clear();
     for bi in 0..b {
@@ -442,7 +431,6 @@ pub struct QuantizedKBestSd {
     pub k: usize,
     /// Path metric (ℓ2 or ℓ∞).
     pub metric: MetricKind,
-    state: Mutex<FxState>,
 }
 
 impl QuantizedKBestSd {
@@ -453,7 +441,6 @@ impl QuantizedKBestSd {
             constellation,
             k,
             metric: MetricKind::L2,
-            state: Mutex::new(FxState::default()),
         }
     }
 
@@ -500,10 +487,15 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
         let p = prep.order;
         ws.prepare(p, m);
         out.stats.reset(m);
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
+        let SearchWorkspace {
+            fx: st,
+            arena,
+            ids,
+            path_buf,
+            trace,
+            ..
+        } = ws;
         st.prepare(prep, self.metric);
-        let mut trace = ws.trace.take();
         if let Some(t) = trace.as_deref_mut() {
             t.on_decode_start(m);
         }
@@ -517,7 +509,7 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
                 break;
             }
             let b = st.frontier.len();
-            out.stats.flops += expand_frontier(&mut *st, ws, depth);
+            out.stats.flops += expand_frontier(st, arena, ids, depth);
             if let Some(t) = trace.as_deref_mut() {
                 t.on_expand(depth, b as u64, (b * p) as u64);
             }
@@ -535,7 +527,7 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
             for (bi, &(pd, id)) in frontier.iter().enumerate() {
                 for c in 0..p {
                     let child_pd = self.metric.combine(pd, inc[bi * p + c]);
-                    next.push((child_pd, ws.arena.alloc(id, c)));
+                    next.push((child_pd, arena.alloc(id, c)));
                 }
             }
             if next.len() > self.k {
@@ -559,14 +551,13 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
         if tripped {
             let spent = out.stats.nodes_generated;
             let &(pd, id) = st.frontier.iter().min().expect("frontier is never empty");
-            ws.arena.path_into(id, &mut st.path);
+            arena.path_into(id, &mut st.path);
             let final_pd = fx_greedy_tail(st, self.metric, pd, &mut out.stats);
             out.stats.leaves_reached += 1;
             out.stats.radius_updates = 1;
             out.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, final_pd);
             out.stats.flops += prep.prep_flops;
             out.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
-            ws.trace = trace;
             prep.indices_from_path_into(&st.path, &mut out.indices);
             return;
         }
@@ -576,12 +567,11 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
         out.stats.radius_updates = 1;
         out.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, best);
         out.stats.flops += prep.prep_flops;
-        ws.arena.path_into(best_id, &mut ws.path_buf);
+        arena.path_into(best_id, path_buf);
         if let Some(t) = trace.as_deref_mut() {
             t.on_radius_update(m - 1, out.stats.final_radius_sqr);
         }
-        ws.trace = trace;
-        prep.indices_from_path_into(&ws.path_buf, &mut out.indices);
+        prep.indices_from_path_into(path_buf, &mut out.indices);
     }
 
     /// Cross-subcarrier fused block decode: one quantized K-best sweep —
@@ -614,8 +604,13 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
         for d in out.iter_mut() {
             d.stats.reset(m);
         }
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
+        let SearchWorkspace {
+            fx: st,
+            arena,
+            ids,
+            path_buf,
+            ..
+        } = ws;
         st.prepare(prep, self.metric);
         st.quantize_block_ys(block, b_count);
 
@@ -628,7 +623,7 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
                 tripped = true;
                 break;
             }
-            let level_ops = expand_frontier_fused(&mut *st, ws, depth, fl, b_count);
+            let level_ops = expand_frontier_fused(st, arena, ids, depth, fl, b_count);
             let per_sc_ops = fx_level_ops(fl, depth, p);
             debug_assert_eq!(per_sc_ops * b_count as u64, level_ops);
             for d in out.iter_mut() {
@@ -648,7 +643,7 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
             for (bi, &(pd, id)) in frontier.iter().enumerate() {
                 for c in 0..p {
                     let child_pd = self.metric.combine(pd, inc[bi * p + c]);
-                    next.push((child_pd, ws.arena.alloc(id, c)));
+                    next.push((child_pd, arena.alloc(id, c)));
                 }
             }
             let gen = fl * p;
@@ -676,7 +671,7 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
             if tripped {
                 let spent = d.stats.nodes_generated;
                 st.load_sc_ys(sc, b_count);
-                ws.arena.path_into(best_id, &mut st.path);
+                arena.path_into(best_id, &mut st.path);
                 let final_pd = fx_greedy_tail(st, self.metric, best, &mut d.stats);
                 d.stats.leaves_reached += 1;
                 d.stats.radius_updates = 1;
@@ -689,8 +684,8 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
                 d.stats.radius_updates = 1;
                 d.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, best);
                 d.stats.flops += prep.prep_flops;
-                ws.arena.path_into(best_id, &mut ws.path_buf);
-                prep.indices_from_path_into(&ws.path_buf, &mut d.indices);
+                arena.path_into(best_id, path_buf);
+                prep.indices_from_path_into(path_buf, &mut d.indices);
             }
         }
         true
@@ -711,7 +706,6 @@ pub struct QuantizedFsd {
     pub full_expansion_levels: usize,
     /// Path metric (ℓ2 or ℓ∞).
     pub metric: MetricKind,
-    state: Mutex<FxState>,
 }
 
 impl QuantizedFsd {
@@ -721,7 +715,6 @@ impl QuantizedFsd {
             constellation,
             full_expansion_levels: 1,
             metric: MetricKind::L2,
-            state: Mutex::new(FxState::default()),
         }
     }
 
@@ -775,10 +768,15 @@ impl PreparedDetector<f64> for QuantizedFsd {
         let n_fe = self.full_expansion_levels.min(m);
         ws.prepare(p, m);
         out.stats.reset(m);
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
+        let SearchWorkspace {
+            fx: st,
+            arena,
+            ids,
+            path_buf,
+            trace,
+            ..
+        } = ws;
         st.prepare(prep, self.metric);
-        let mut trace = ws.trace.take();
         if let Some(t) = trace.as_deref_mut() {
             t.on_decode_start(m);
         }
@@ -792,7 +790,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
                 break;
             }
             let b = st.frontier.len();
-            out.stats.flops += expand_frontier(&mut *st, ws, depth);
+            out.stats.flops += expand_frontier(st, arena, ids, depth);
             if let Some(t) = trace.as_deref_mut() {
                 t.on_expand(depth, b as u64, (b * p) as u64);
             }
@@ -812,7 +810,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
                 for (bi, &(pd, id)) in frontier.iter().enumerate() {
                     for c in 0..p {
                         let child_pd = self.metric.combine(pd, inc[bi * p + c]);
-                        next.push((child_pd, ws.arena.alloc(id, c)));
+                        next.push((child_pd, arena.alloc(id, c)));
                     }
                 }
             } else {
@@ -825,7 +823,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
                         .enumerate()
                         .min_by_key(|&(c, &v)| (v, c))
                         .expect("P > 0");
-                    next.push((self.metric.combine(pd, best_inc), ws.arena.alloc(id, c)));
+                    next.push((self.metric.combine(pd, best_inc), arena.alloc(id, c)));
                 }
                 out.stats.nodes_pruned += (b * (p - 1)) as u64;
                 if let Some(t) = trace.as_deref_mut() {
@@ -841,14 +839,13 @@ impl PreparedDetector<f64> for QuantizedFsd {
         if tripped {
             let spent = out.stats.nodes_generated;
             let &(pd, id) = st.frontier.iter().min().expect("frontier is never empty");
-            ws.arena.path_into(id, &mut st.path);
+            arena.path_into(id, &mut st.path);
             let final_pd = fx_greedy_tail(st, self.metric, pd, &mut out.stats);
             out.stats.leaves_reached += 1;
             out.stats.radius_updates = 1;
             out.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, final_pd);
             out.stats.flops += prep.prep_flops;
             out.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
-            ws.trace = trace;
             prep.indices_from_path_into(&st.path, &mut out.indices);
             return;
         }
@@ -858,12 +855,11 @@ impl PreparedDetector<f64> for QuantizedFsd {
         out.stats.radius_updates = 1;
         out.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, best);
         out.stats.flops += prep.prep_flops;
-        ws.arena.path_into(best_id, &mut ws.path_buf);
+        arena.path_into(best_id, path_buf);
         if let Some(t) = trace.as_deref_mut() {
             t.on_radius_update(m - 1, out.stats.final_radius_sqr);
         }
-        ws.trace = trace;
-        prep.indices_from_path_into(&ws.path_buf, &mut out.indices);
+        prep.indices_from_path_into(path_buf, &mut out.indices);
     }
 
     /// Cross-subcarrier fused block decode: one quantized FSD sweep for
@@ -897,8 +893,13 @@ impl PreparedDetector<f64> for QuantizedFsd {
         for d in out.iter_mut() {
             d.stats.reset(m);
         }
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
+        let SearchWorkspace {
+            fx: st,
+            arena,
+            ids,
+            path_buf,
+            ..
+        } = ws;
         st.prepare(prep, self.metric);
         st.quantize_block_ys(block, b_count);
 
@@ -911,7 +912,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
                 tripped = true;
                 break;
             }
-            let level_ops = expand_frontier_fused(&mut *st, ws, depth, fl, b_count);
+            let level_ops = expand_frontier_fused(st, arena, ids, depth, fl, b_count);
             let per_sc_ops = fx_level_ops(fl, depth, p);
             debug_assert_eq!(per_sc_ops * b_count as u64, level_ops);
             for d in out.iter_mut() {
@@ -932,7 +933,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
                 for (bi, &(pd, id)) in frontier.iter().enumerate() {
                     for c in 0..p {
                         let child_pd = self.metric.combine(pd, inc[bi * p + c]);
-                        next.push((child_pd, ws.arena.alloc(id, c)));
+                        next.push((child_pd, arena.alloc(id, c)));
                     }
                 }
                 fl *= p;
@@ -944,7 +945,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
                         .enumerate()
                         .min_by_key(|&(c, &v)| (v, c))
                         .expect("P > 0");
-                    next.push((self.metric.combine(pd, best_inc), ws.arena.alloc(id, c)));
+                    next.push((self.metric.combine(pd, best_inc), arena.alloc(id, c)));
                 }
                 for d in out.iter_mut() {
                     d.stats.nodes_pruned += (fl * (p - 1)) as u64;
@@ -959,7 +960,7 @@ impl PreparedDetector<f64> for QuantizedFsd {
             if tripped {
                 let spent = d.stats.nodes_generated;
                 st.load_sc_ys(sc, b_count);
-                ws.arena.path_into(best_id, &mut st.path);
+                arena.path_into(best_id, &mut st.path);
                 let final_pd = fx_greedy_tail(st, self.metric, best, &mut d.stats);
                 d.stats.leaves_reached += 1;
                 d.stats.radius_updates = 1;
@@ -972,8 +973,8 @@ impl PreparedDetector<f64> for QuantizedFsd {
                 d.stats.radius_updates = 1;
                 d.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, best);
                 d.stats.flops += prep.prep_flops;
-                ws.arena.path_into(best_id, &mut ws.path_buf);
-                prep.indices_from_path_into(&ws.path_buf, &mut d.indices);
+                arena.path_into(best_id, path_buf);
+                prep.indices_from_path_into(path_buf, &mut d.indices);
             }
         }
         true
@@ -993,7 +994,6 @@ pub struct QuantizedSphereDecoder {
     pub metric: MetricKind,
     /// Initial-radius policy (resolved in float, converted to the grid).
     pub initial_radius: InitialRadius,
-    state: Mutex<FxState>,
 }
 
 impl QuantizedSphereDecoder {
@@ -1003,7 +1003,6 @@ impl QuantizedSphereDecoder {
             constellation,
             metric: MetricKind::L2,
             initial_radius: InitialRadius::Infinite,
-            state: Mutex::new(FxState::default()),
         }
     }
 
@@ -1028,13 +1027,12 @@ impl QuantizedSphereDecoder {
         prep: &Prepared<f64>,
         bound: i64,
     ) -> Option<(i64, Vec<usize>)> {
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
+        let mut st = FxState::default();
         st.prepare(prep, self.metric);
         let mut stats = crate::detector::DetectionStats::default();
         stats.reset(prep.n_tx);
         let best = dfs_bounded(
-            st,
+            &mut st,
             self.metric,
             bound,
             &mut FxBudget::unlimited(),
@@ -1323,10 +1321,8 @@ impl QuantizedSphereDecoder {
         let m = prep.n_tx;
         ws.prepare(prep.order, m);
         out.stats.reset(m);
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
+        let SearchWorkspace { fx: st, trace, .. } = ws;
         st.prepare(prep, self.metric);
-        let mut trace = ws.trace.take();
         if let Some(t) = trace.as_deref_mut() {
             t.on_decode_start(m);
         }
@@ -1341,7 +1337,7 @@ impl QuantizedSphereDecoder {
                 bound,
                 &mut fx_budget,
                 &mut out.stats,
-                &mut trace,
+                trace,
             );
             if fx_budget.tripped {
                 // Anytime exit: keep the best-so-far leaf, or complete
@@ -1371,7 +1367,6 @@ impl QuantizedSphereDecoder {
         let best = best.expect("infinite sphere always contains a leaf");
         out.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, best);
         out.stats.flops += prep.prep_flops;
-        ws.trace = trace;
         prep.indices_from_path_into(&st.best_path, &mut out.indices);
     }
 }

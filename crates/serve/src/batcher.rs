@@ -9,13 +9,22 @@
 //! [`BatchPolicy::max_wait`] so batching never adds more than that to
 //! latency. `max_wait = 0` degenerates to take-what's-there, which keeps a
 //! lock-step single-client loop latency-optimal.
+//!
+//! `max_batch` counts **decisions**, not queue items: a vector is one
+//! decision, a frame is one per subcarrier ([`crate::queue::Weighted`]).
+//! A frame at least `max_batch` subcarriers wide is therefore a full batch
+//! by itself — it goes to the first free worker at once, and the next
+//! frame goes to the next worker, instead of one worker collecting several
+//! frames while the others idle.
 
 use std::time::Duration;
 
 /// When a worker stops accumulating a batch.
 #[derive(Copy, Clone, Debug)]
 pub struct BatchPolicy {
-    /// Flush once this many requests are in hand.
+    /// Flush once this many decisions are in hand (vectors count 1,
+    /// frames count their subcarriers; the item that crosses the limit is
+    /// still taken).
     pub max_batch: usize,
     /// Flush once the oldest request in the batch has waited this long
     /// after being picked up.

@@ -104,7 +104,7 @@ pub use loadgen::{
 };
 pub use metrics::{Log2Histogram, Metrics, MetricsSnapshot, ShardSnapshot, TierSnapshot};
 pub use prep_cache::{route_hash, PrepCache};
-pub use queue::{BatchPop, BoundedQueue, PushError};
+pub use queue::{BatchPop, BoundedQueue, PushError, Weighted};
 pub use registry::{default_registry, quantized_registry, Tier};
 pub use request::{
     DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason, Rejected,

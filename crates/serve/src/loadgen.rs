@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sd_core::DetectionStats;
 use sd_wireless::{
-    noise_variance, Constellation, FrameData, GridConfig, Modulation, ResourceGrid,
-    REAL_TIME_BUDGET,
+    noise_variance, Channel, Constellation, FrameData, GridConfig, Modulation, ResourceGrid,
+    TxFrame, REAL_TIME_BUDGET,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -160,21 +160,26 @@ pub fn build_coherent_requests(
     assert!(block >= 1, "coherence block must be at least 1");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut out = Vec::with_capacity(cfg.n_requests);
-    let mut leader: Option<FrameData> = None;
+    let mut channel: Option<Channel> = None;
     for i in 0..cfg.n_requests {
         let snr = cfg.snr_grid_db[(i / block) % cfg.snr_grid_db.len()];
         let sigma2 = noise_variance(snr, cfg.n_tx);
-        let fresh = FrameData::generate(cfg.n_rx, cfg.n_tx, constellation, sigma2, &mut rng);
         let frame = if i % block == 0 {
-            leader = Some(fresh.clone());
-            fresh
+            let leader = FrameData::generate(cfg.n_rx, cfg.n_tx, constellation, sigma2, &mut rng);
+            channel = Some(Channel::from_matrix(leader.h.clone()));
+            leader
         } else {
-            // Follower: the leader's channel, this arrival's symbols.
-            let mut f = leader.as_ref().expect("leader set at block start").clone();
-            f.y = fresh.y;
-            f.tx = fresh.tx;
-            f.noise_variance = fresh.noise_variance;
-            f
+            // Follower: this arrival's symbols and noise, sent through the
+            // leader's channel.
+            let ch = channel.as_ref().expect("leader set at block start");
+            let tx = TxFrame::random(cfg.n_tx, constellation, &mut rng);
+            let y = ch.transmit(&tx.symbols, sigma2, &mut rng);
+            FrameData {
+                h: ch.matrix().clone(),
+                y,
+                noise_variance: sigma2,
+                tx,
+            }
         };
         out.push(DetectionRequest::new(i as u64, frame, snr, cfg.deadline));
     }
@@ -613,6 +618,39 @@ mod tests {
         // block = 1 degenerates to the i.i.d. stream.
         let iid = build_coherent_requests(&cfg, 1, &c);
         assert!(iid[0].frame.h != iid[1].frame.h);
+    }
+
+    /// Followers must be received through the channel they carry: at high
+    /// SNR an exact decoder is as accurate on coherence blocks as on
+    /// i.i.d. traffic. (Pairing the leader's `H` with a `y` that went
+    /// through another channel decodes noise: BER near 0.5.)
+    #[test]
+    fn coherent_followers_decode_through_their_own_channel() {
+        use sd_core::{Detector, SphereDecoder};
+        let cfg = LoadConfig {
+            n_tx: 8,
+            n_rx: 8,
+            modulation: Modulation::Qam4,
+            snr_grid_db: vec![30.0],
+            n_requests: 64,
+            ..Default::default()
+        };
+        let c = Constellation::new(cfg.modulation);
+        let sd = SphereDecoder::<f64>::new(c.clone());
+        let ber = |block: usize| {
+            let reqs = build_coherent_requests(&cfg, block, &c);
+            let errors: u64 = reqs
+                .iter()
+                .map(|r| r.frame.bit_errors(&sd.detect(&r.frame).indices, &c))
+                .sum();
+            errors as f64 / (reqs.len() * cfg.n_tx * c.bits_per_symbol()) as f64
+        };
+        let iid = ber(1);
+        let coherent = ber(16);
+        assert!(
+            coherent <= iid,
+            "blocks of 16 decode at BER {coherent}, blocks of 1 at {iid}"
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! enqueues or hands the item straight back (explicit backpressure).
 //! Consumers drain in batches via [`BoundedQueue::pop_batch`], which
 //! implements the flush-on-size-or-age policy described in
-//! [`crate::batcher`].
+//! [`crate::batcher`]. Batch size counts *decisions*, not items: each
+//! item reports its [`Weighted::weight`] (1 for a vector, the subcarrier
+//! count for a frame), so one 64-subcarrier frame fills a batch on its own
+//! while vectors still batch up to the limit.
 //!
 //! The pause gate freezes consumers (producers still enqueue) so tests can
 //! build a deterministic backlog; [`BoundedQueue::close`] clears the gate
@@ -24,6 +27,14 @@ pub enum PushError<T> {
     Full(T, usize),
     /// Queue closed; the item is returned.
     Closed(T),
+}
+
+/// The batch weight of a queue item: how many decisions it carries.
+/// Batch pops and steals fill up to a weight budget rather than an item
+/// count.
+pub trait Weighted {
+    /// Decisions this item carries (at least 1).
+    fn weight(&self) -> u64;
 }
 
 /// Outcome of a bounded-wait batch pop ([`BoundedQueue::pop_batch_timeout`]).
@@ -143,12 +154,16 @@ impl<T> BoundedQueue<T> {
             g = g2;
         }
     }
+}
 
-    /// Drain up to `max` items into `out`, blocking until at least one is
-    /// available. After the first item, waits up to `max_wait` for the
-    /// batch to fill (flush on size or age). Returns `false` only when the
-    /// queue is closed **and** fully drained — the consumer's signal to
-    /// exit.
+impl<T: Weighted> BoundedQueue<T> {
+    /// Drain items worth up to `max` decisions into `out`, blocking until
+    /// at least one is available. After the first item, waits up to
+    /// `max_wait` for the batch to fill (flush on size or age). The item
+    /// that reaches or crosses `max` is still taken, so an item heavier
+    /// than `max` — a whole frame — is a batch on its own and never waits
+    /// for company. Returns `false` only when the queue is closed **and**
+    /// fully drained — the consumer's signal to exit.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize, max_wait: Duration) -> bool {
         match self.pop_batch_inner(out, max, max_wait, None) {
             BatchPop::Batch => true,
@@ -204,14 +219,17 @@ impl<T> BoundedQueue<T> {
                 }
             }
         }
-        out.push(g.items.pop_front().unwrap());
-        // Phase 2: age-bounded accumulation up to `max` (still respecting
-        // the pause gate — a pause landing mid-batch must not keep feeding
-        // this consumer).
+        let first = g.items.pop_front().unwrap();
+        let mut weight = first.weight();
+        out.push(first);
+        // Phase 2: age-bounded accumulation up to `max` decisions (still
+        // respecting the pause gate — a pause landing mid-batch must not
+        // keep feeding this consumer).
         let deadline = Instant::now() + max_wait;
-        while out.len() < max {
+        while weight < max as u64 {
             if !g.paused {
                 if let Some(item) = g.items.pop_front() {
+                    weight += item.weight();
                     out.push(item);
                     continue;
                 }
@@ -229,12 +247,13 @@ impl<T> BoundedQueue<T> {
         BatchPop::Batch
     }
 
-    /// Work stealing: move up to `max` items — but never more than half
-    /// the backlog (rounded up) — from the front of this queue into `out`,
-    /// without blocking. Items leave in FIFO order and whole (a frame is
-    /// one item, so blocks are never split). Returns the number taken; a
-    /// paused queue yields nothing, so deterministic-backlog tests see no
-    /// back-door drain.
+    /// Work stealing: move items worth up to `max` decisions — but never
+    /// more than half the backlog's items (rounded up) — from the front of
+    /// this queue into `out`, without blocking. Like a batch pop, the item
+    /// that crosses `max` is still taken. Items leave in FIFO order and
+    /// whole (a frame is one item, so blocks are never split). Returns the
+    /// number of items taken; a paused queue yields nothing, so
+    /// deterministic-backlog tests see no back-door drain.
     pub fn steal_into(&self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -243,13 +262,20 @@ impl<T> BoundedQueue<T> {
         if g.paused {
             return 0;
         }
-        let take = max.min(g.items.len().div_ceil(2));
-        for _ in 0..take {
-            out.push(g.items.pop_front().unwrap());
+        let limit = g.items.len().div_ceil(2);
+        let mut weight = 0u64;
+        let mut take = 0;
+        while take < limit && weight < max as u64 {
+            let item = g.items.pop_front().unwrap();
+            weight += item.weight();
+            out.push(item);
+            take += 1;
         }
         take
     }
+}
 
+impl<T> BoundedQueue<T> {
     /// Freeze consumers; producers continue to enqueue (up to capacity).
     pub fn pause(&self) {
         self.inner.lock().unwrap().paused = true;
@@ -277,6 +303,39 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Plain integers stand for vectors: one decision each.
+    impl Weighted for i32 {
+        fn weight(&self) -> u64 {
+            1
+        }
+    }
+
+    impl Weighted for u32 {
+        fn weight(&self) -> u64 {
+            1
+        }
+    }
+
+    /// A test item with an explicit weight: `Item(id, decisions)`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Item(u32, u64);
+
+    impl Weighted for Item {
+        fn weight(&self) -> u64 {
+            self.1
+        }
+    }
+
+    /// A 64-subcarrier frame.
+    fn frame(id: u32) -> Item {
+        Item(id, 64)
+    }
+
+    /// A single vector.
+    fn vector(id: u32) -> Item {
+        Item(id, 1)
+    }
 
     #[test]
     fn push_pop_roundtrip() {
@@ -328,6 +387,88 @@ mod tests {
         let mut batch = Vec::new();
         assert!(q.pop_batch(&mut batch, 4, Duration::from_secs(1)));
         assert_eq!(batch, vec![0, 1, 2, 3], "size bound flushes immediately");
+    }
+
+    #[test]
+    fn a_frame_is_a_whole_batch_without_waiting() {
+        let q = BoundedQueue::new(16);
+        for i in 0..3 {
+            q.try_push(frame(i)).unwrap();
+        }
+        let mut batch = Vec::new();
+        let t0 = Instant::now();
+        assert!(q.pop_batch(&mut batch, 16, Duration::from_secs(1)));
+        assert_eq!(batch, vec![frame(0)], "one frame fills a batch");
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "a full batch must not wait out max_wait"
+        );
+        assert_eq!(q.len(), 2, "the other frames stay for other workers");
+    }
+
+    #[test]
+    fn vectors_still_batch_to_the_limit() {
+        let q = BoundedQueue::new(32);
+        for i in 0..20 {
+            q.try_push(vector(i)).unwrap();
+        }
+        q.close();
+        let mut batch = Vec::new();
+        let mut sizes = Vec::new();
+        while q.pop_batch(&mut batch, 16, Duration::from_secs(1)) {
+            sizes.push(batch.len());
+            batch.clear();
+        }
+        assert_eq!(sizes, vec![16, 4]);
+    }
+
+    #[test]
+    fn batch_stops_right_after_the_crossing_frame() {
+        let q = BoundedQueue::new(16);
+        for i in 0..3 {
+            q.try_push(vector(i)).unwrap();
+        }
+        q.try_push(frame(3)).unwrap();
+        q.try_push(vector(4)).unwrap();
+        let mut batch = Vec::new();
+        assert!(q.pop_batch(&mut batch, 16, Duration::from_secs(1)));
+        assert_eq!(
+            batch,
+            vec![vector(0), vector(1), vector(2), frame(3)],
+            "the crossing item is taken, nothing after it"
+        );
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn weighted_batches_respect_pause_and_close() {
+        let q = Arc::new(BoundedQueue::new(8));
+        q.pause();
+        q.try_push(frame(0)).unwrap();
+        q.try_push(frame(1)).unwrap();
+        let mut batch = Vec::new();
+        assert_eq!(
+            q.pop_batch_timeout(&mut batch, 16, Duration::ZERO, Duration::from_millis(5)),
+            BatchPop::Empty,
+            "paused queue yields no frame"
+        );
+        let q2 = Arc::clone(&q);
+        let h = std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            let mut got = Vec::new();
+            while q2.pop_batch(&mut batch, 16, Duration::from_secs(1)) {
+                got.push(batch.clone());
+                batch.clear();
+            }
+            got
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        q.close();
+        assert_eq!(
+            h.join().unwrap(),
+            vec![vec![frame(0)], vec![frame(1)]],
+            "close drains every frame, one batch each"
+        );
     }
 
     #[test]
@@ -436,6 +577,18 @@ mod tests {
         loot.clear();
         assert_eq!(q.steal_into(&mut loot, 1), 1);
         assert_eq!(loot, vec![3]);
+    }
+
+    #[test]
+    fn steal_takes_one_frame_per_budget() {
+        let q = BoundedQueue::new(16);
+        for i in 0..4 {
+            q.try_push(frame(i)).unwrap();
+        }
+        let mut loot = Vec::new();
+        assert_eq!(q.steal_into(&mut loot, 16), 1, "one frame fills the budget");
+        assert_eq!(loot, vec![frame(0)]);
+        assert_eq!(q.len(), 3);
     }
 
     #[test]

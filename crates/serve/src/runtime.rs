@@ -42,7 +42,7 @@ use crate::export::{render, ExportFormat};
 use crate::ladder::{choose_tier_block_budgeted, LadderConfig};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::prep_cache::{route_hash, PrepCache};
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{BoundedQueue, PushError, Weighted};
 use crate::registry::{default_registry, Tier};
 use crate::request::{
     DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason, Rejected,
@@ -239,15 +239,18 @@ pub(crate) enum Ingress {
     Frame(FrameRequest),
 }
 
-impl Ingress {
-    /// Accounting weight: subcarriers for a frame, 1 for a vector.
-    pub(crate) fn weight(&self) -> u64 {
+impl Weighted for Ingress {
+    /// Decisions carried: subcarriers for a frame, 1 for a vector. The
+    /// batcher's budget and the steal/backlog accounting both count this.
+    fn weight(&self) -> u64 {
         match self {
             Ingress::Vector(_) => 1,
             Ingress::Frame(f) => f.block_len() as u64,
         }
     }
+}
 
+impl Ingress {
     /// Admission-time predicted service cost (ns) stamped at submit — the
     /// amount the draining worker removes from the owning shard's
     /// [`Shard::queued_cost_ns`] gauge.

@@ -34,11 +34,17 @@
 //! cross-subcarrier **fused** decode (one GEMM batch per tree level for
 //! the whole block, counted in `frames_fused`); the rest run the shared-
 //! prep per-subcarrier loop. Either way the per-subcarrier results are
-//! bit-identical to a per-vector submission of the same traffic.
+//! bit-identical to a per-vector submission of the same traffic. Batches
+//! and steals are sized in decisions ([`crate::queue::Weighted`]), so a
+//! wide frame is a batch of its own and concurrent frames spread across
+//! workers. The registry's engines are shared by every worker and hold no
+//! per-decode mutable state — the quantized engines' integer scratch is
+//! in the worker's [`SearchWorkspace`] too — so two workers decoding
+//! through one engine never wait on each other.
 
 use crate::budget::CostModel;
 use crate::ladder::{choose_tier_block_budgeted, choose_tier_budgeted};
-use crate::queue::BatchPop;
+use crate::queue::{BatchPop, Weighted};
 use crate::request::{DetectionRequest, DetectionResponse, FrameRequest, FrameResponse};
 use crate::runtime::{Ingress, Shared};
 use sd_core::{

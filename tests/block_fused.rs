@@ -12,6 +12,11 @@
 //! blocks (B = 1, K = 1), and property-tested over random grids. Engines
 //! that cannot fuse must report `fused == false` and still produce the
 //! loop path's exact results through the same entry point.
+//!
+//! Engines hold no per-decode state of their own (it lives in the
+//! caller's workspace), so one engine shared by two threads must decode
+//! exactly as it does on one thread — pinned for the quantized engines,
+//! whose integer scratch moved out of the engine.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,9 +25,10 @@ use sd_core::preprocess::{BlockPrep, PrepScratch, Prepared};
 use sd_core::{
     decode_block_budgeted_into, decode_block_fused_into, BfsGemmSd, DecodeBudget, Detection,
     FixedComplexitySd, KBestSd, MetricKind, MmseDetector, PreparedDetector, QuantizedFsd,
-    QuantizedKBestSd, SearchQuality, SearchWorkspace, SphereDecoder,
+    QuantizedKBestSd, QuantizedSphereDecoder, SearchQuality, SearchWorkspace, SphereDecoder,
 };
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
+use std::sync::{Arc, Barrier};
 
 /// A coherence block: `b` subcarriers sharing one channel matrix, each
 /// with an independently drawn transmit vector and noise realization.
@@ -309,5 +315,104 @@ proptest! {
                 prop_assert_eq!(&g.stats, &w.stats);
             }
         }
+    }
+}
+
+/// One thread's share of the concurrent workload: a coherence block and a
+/// run of i.i.d. vectors, different for every thread.
+struct ThreadWork {
+    block: Vec<FrameData>,
+    vectors: Vec<FrameData>,
+}
+
+/// Decode a thread's work on one workspace: the block through the fused
+/// entry point, then every vector through the per-vector path.
+fn decode_work(
+    det: &dyn PreparedDetector<f64>,
+    work: &ThreadWork,
+    ws: &mut SearchWorkspace<f64>,
+) -> (Vec<Detection>, Vec<Detection>) {
+    let mut scratch = PrepScratch::new();
+    let mut block = BlockPrep::new();
+    let mut prep = Prepared::empty();
+    let mut out = vec![Detection::default(); work.block.len()];
+    decode_block_fused_into(
+        det,
+        &work.block,
+        &DecodeBudget::UNLIMITED,
+        &mut scratch,
+        &mut block,
+        &mut prep,
+        ws,
+        &mut out,
+    );
+    let vectors = work
+        .vectors
+        .iter()
+        .map(|f| {
+            let mut d = Detection::default();
+            det.prepare_frame_into(f, &mut scratch, &mut prep);
+            let r2 = det.initial_radius_sqr(f.h.rows(), f.noise_variance);
+            det.detect_prepared_into(&prep, r2, ws, &mut d);
+            d
+        })
+        .collect();
+    (out, vectors)
+}
+
+/// Two threads share ONE `Arc` of each quantized engine, each with its own
+/// workspace, released together by a barrier and decoding different
+/// blocks and vectors at the same time. Every result must be bit-identical
+/// to the same work decoded sequentially on one thread — indices, node
+/// counts, metric bits and quality.
+#[test]
+fn shared_quantized_engines_decode_concurrently_bit_identically() {
+    const THREADS: usize = 2;
+    const ROUNDS: usize = 32;
+    let c = Constellation::new(Modulation::Qam4);
+    let sigma2 = noise_variance(10.0, 8);
+    let mut rng = StdRng::seed_from_u64(0xC0C0);
+    let work: Vec<ThreadWork> = (0..THREADS)
+        .map(|_| ThreadWork {
+            block: coherent_block(16, 8, &c, sigma2, &mut rng),
+            vectors: (0..8)
+                .map(|_| FrameData::generate(8, 8, &c, sigma2, &mut rng))
+                .collect(),
+        })
+        .collect();
+    let engines: Vec<(&str, Arc<dyn PreparedDetector<f64>>)> = vec![
+        ("k-best-fx", Arc::new(QuantizedKBestSd::new(c.clone(), 16))),
+        ("fsd-fx", Arc::new(QuantizedFsd::new(c.clone()))),
+        (
+            "fsd-fx-linf",
+            Arc::new(QuantizedFsd::new(c.clone()).with_metric(MetricKind::LInf)),
+        ),
+        ("dfs-fx", Arc::new(QuantizedSphereDecoder::new(c.clone()))),
+    ];
+    for (label, det) in &engines {
+        // Sequential reference: one thread, one workspace, in order.
+        let mut ws = SearchWorkspace::new();
+        let reference: Vec<_> = work
+            .iter()
+            .map(|w| decode_work(&**det, w, &mut ws))
+            .collect();
+
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for (t, (w, want)) in work.iter().zip(&reference).enumerate() {
+                let det = Arc::clone(det);
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut ws = SearchWorkspace::new();
+                    barrier.wait();
+                    for round in 0..ROUNDS {
+                        let (block, vectors) = decode_work(&*det, w, &mut ws);
+                        let what = format!("{label} thread {t} round {round}");
+                        assert_block_identical(&block, &want.0, &format!("{what} block"));
+                        assert_block_identical(&vectors, &want.1, &format!("{what} vectors"));
+                    }
+                });
+            }
+        });
     }
 }

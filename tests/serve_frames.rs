@@ -14,12 +14,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sd_core::{
-    prepare_channel_into, prepare_with_channel_into, ChannelPrep, Detection, PrepScratch, Prepared,
-    PreparedDetector, SearchWorkspace, SphereDecoder,
+    decode_block_fused_into, prepare_channel_into, prepare_with_channel_into, BlockPrep,
+    ChannelPrep, DecodeBudget, Detection, PrepScratch, Prepared, PreparedDetector,
+    QuantizedKBestSd, SearchWorkspace, SphereDecoder,
 };
 use sd_serve::{
     build_frame_requests, default_registry, explode_frames, quantized_registry, FrameLoadConfig,
-    LadderConfig, RejectReason, ServeConfig, ServeRuntime, Tier,
+    LadderConfig, RejectReason, ServeConfig, ServeRuntime, Tier, TierCostClass,
 };
 use sd_wireless::{Constellation, GridConfig, Modulation, OfdmConfig, OfdmSymbol};
 use std::collections::HashMap;
@@ -226,6 +227,73 @@ fn frame_exactness_survives_overload_and_shedding() {
             det.detect_prepared_into(&prep, r2, &mut ws, &mut truth);
             assert_eq!(got.indices, truth.indices, "frame {} decisions", fr.id);
             assert_eq!(got.stats, truth.stats, "frame {} statistics", fr.id);
+        }
+    }
+}
+
+/// Two workers on one queue decode frames concurrently through ONE shared
+/// fixed-point K-best engine; every served block must be bit-identical to
+/// a direct fused decode of the same subcarriers.
+#[test]
+fn kbest_fx_frames_through_two_workers_match_direct_fused_decode() {
+    let cfg = grid_workload();
+    let c = Constellation::new(cfg.modulation);
+    let requests = build_frame_requests(&cfg, &c);
+    let n = requests.len();
+    let rt = ServeRuntime::start_with_registry(
+        ServeConfig::default()
+            .with_workers(2)
+            .with_shards(1)
+            .with_queue_capacity(n)
+            .with_ladder(ladder_off()),
+        vec![Tier::new(
+            "k-best-fx",
+            TierCostClass::fixed_kbest(16),
+            Box::new(QuantizedKBestSd::new(c.clone(), 16)),
+        )],
+    );
+    for req in requests {
+        rt.submit_frame(req).expect("queue sized for the stream");
+    }
+    let mut served = HashMap::new();
+    for _ in 0..n {
+        let resp = rt
+            .collect_frame_timeout(Duration::from_secs(10))
+            .expect("frame path stalled");
+        served.insert(resp.request.id, resp.detections);
+    }
+    let (snap, _, _) = rt.shutdown();
+    assert_eq!(snap.frames_served, n as u64);
+    assert_eq!(snap.frames_fused, n as u64, "every k-best-fx frame fuses");
+
+    let det = QuantizedKBestSd::new(c.clone(), 16);
+    let mut scratch = PrepScratch::new();
+    let mut block = BlockPrep::new();
+    let mut prep = Prepared::empty();
+    let mut ws = SearchWorkspace::new();
+    for fr in build_frame_requests(&cfg, &c) {
+        let mut want = vec![Detection::default(); fr.block_len()];
+        decode_block_fused_into(
+            &det,
+            &fr.subcarriers,
+            &DecodeBudget::UNLIMITED,
+            &mut scratch,
+            &mut block,
+            &mut prep,
+            &mut ws,
+            &mut want,
+        );
+        let got = &served[&fr.id];
+        assert_eq!(got.len(), want.len(), "frame {} shape", fr.id);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.indices, w.indices, "frame {} sc {k}: decisions", fr.id);
+            assert_eq!(g.stats, w.stats, "frame {} sc {k}: statistics", fr.id);
+            assert_eq!(
+                g.stats.final_radius_sqr.to_bits(),
+                w.stats.final_radius_sqr.to_bits(),
+                "frame {} sc {k}: metric bits",
+                fr.id
+            );
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::arena::{SearchWorkspace, NIL};
 use crate::detector::Detection;
-use crate::engine::{impl_detector_via_prepared, PreparedDetector};
+use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::pd::{eval_children_from_arena, EvalStrategy};
 use crate::preprocess::Prepared;
 use crate::radius::InitialRadius;
@@ -110,10 +110,11 @@ impl<F: Float> PreparedDetector<F> for BestFirstSd<F> {
     /// Best-first search into a caller-owned [`Detection`]: after the
     /// workspace buffers reach steady-state capacity, the search loop
     /// performs no heap allocation.
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,
         radius_sqr: f64,
+        _budget: &DecodeBudget,
         ws: &mut SearchWorkspace<F>,
         out: &mut Detection,
     ) {

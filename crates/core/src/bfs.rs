@@ -356,25 +356,6 @@ impl<F: Float> PreparedDetector<F> for BfsGemmSd<F> {
         self.initial_radius.resolve(n_rx, noise_variance)
     }
 
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<F>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<F>,
-        out: &mut Detection,
-    ) {
-        let mut trace = ws.trace.take();
-        self.bfs_core(
-            prep,
-            radius_sqr,
-            &DecodeBudget::UNLIMITED,
-            ws,
-            out,
-            trace.as_deref_mut(),
-        );
-        ws.trace = trace;
-    }
-
     /// BFS under an anytime budget: checked once per level; a trip ends
     /// the sweep with the best open node greedily completed
     /// ([`SearchQuality::BudgetTruncated`]) — a truncated search never

@@ -182,16 +182,6 @@ impl<F: Float> PreparedDetector<F> for SphereDecoder<F> {
     /// buffers all come from `ws`, and `out`'s index vector and
     /// per-level histogram keep their capacity — with a warm `ws` and
     /// `out`, a decode performs zero heap allocations.
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<F>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<F>,
-        out: &mut Detection,
-    ) {
-        self.decode_budgeted(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
-    }
-
     fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,

@@ -1,11 +1,12 @@
 //! The prepared-decode engine trait every detector implements.
 //!
 //! One abstraction replaces the per-file wrapper zoo: a detector supplies
-//! a single scratch-reusing entry point ([`PreparedDetector::detect_prepared_into`])
-//! plus a handful of small policy hooks (constellation, column ordering,
-//! initial radius, custom preprocessing), and the trait derives every
-//! convenience from them — the allocating one-shot decode, the workspace
-//! variant, and the frame-level entry points that the
+//! a single scratch-reusing entry point
+//! ([`PreparedDetector::detect_prepared_budgeted_into`]) plus a handful of
+//! small policy hooks (constellation, column ordering, initial radius,
+//! custom preprocessing), and the trait derives every convenience from
+//! them — the unbudgeted decode, the allocating one-shot decode, the
+//! workspace variant, and the frame-level entry points that the
 //! [`Detector`](crate::detector::Detector) /
 //! [`WorkspaceDetector`](crate::batch::WorkspaceDetector) bridges forward
 //! to. Higher layers (the serve tier registry, batch drivers, benches)
@@ -13,7 +14,7 @@
 //! interchangeably.
 //!
 //! The contract mirrors the serving runtime's steady-state discipline:
-//! `detect_prepared_into` must draw all search buffers from the passed
+//! the decode must draw all search buffers from the passed
 //! [`SearchWorkspace`] and write into the recycled [`Detection`], so a
 //! caller that reuses `prep`/`ws`/`out` decodes without per-request heap
 //! allocation (asserted by `tests/alloc_free.rs` for the tree decoders).
@@ -91,22 +92,33 @@ impl Default for DecodeBudget {
 /// A detector that decodes a QR-[`Prepared`] problem into caller-owned
 /// buffers.
 ///
-/// Required: [`Self::detect_prepared_into`] and [`Self::constellation`].
-/// Everything else has a default that matches the common tree-decoder
-/// shape (natural ordering, infinite initial radius, shared QR
-/// preprocessing); detectors with different needs override the hooks —
-/// e.g. the linear family replaces [`Self::prepare_frame_into`] with a
-/// QR-free frame load, and the real-valued decomposition builds its
-/// doubled real system there.
+/// Required: [`Self::detect_prepared_budgeted_into`] and
+/// [`Self::constellation`]. Everything else has a default that matches
+/// the common tree-decoder shape (natural ordering, infinite initial
+/// radius, shared QR preprocessing); detectors with different needs
+/// override the hooks — e.g. the linear family replaces
+/// [`Self::prepare_frame_into`] with a QR-free frame load, and the
+/// real-valued decomposition builds its doubled real system there.
 pub trait PreparedDetector<F: Float>: Send + Sync {
-    /// Decode a prepared problem, drawing every search buffer from `ws`
-    /// and writing the decision + statistics into `out` (which is fully
-    /// overwritten). `radius_sqr` is the initial squared sphere radius;
-    /// detectors without a radius notion ignore it.
-    fn detect_prepared_into(
+    /// Decode a prepared problem under an anytime `budget`, drawing every
+    /// search buffer from `ws` and writing the decision + statistics into
+    /// `out` (which is fully overwritten). `radius_sqr` is the initial
+    /// squared sphere radius; detectors without a radius notion ignore it.
+    ///
+    /// An engine with a budget check stops early when `budget` trips and
+    /// returns the best-so-far leaf with
+    /// [`SearchQuality::BudgetTruncated`](crate::detector::SearchQuality)
+    /// set in the stats; whenever the budget is not hit the output must be
+    /// bit-identical to the unbudgeted decode. DFS, the subtree-parallel
+    /// decoder, BFS, K-best, FSD and the quantized DFS/K-best/FSD check
+    /// it. Best-first, statistical pruning, the soft list decoder, the
+    /// real-valued decomposition and the linear family do not: they
+    /// decode in full under any budget.
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,
         radius_sqr: f64,
+        budget: &DecodeBudget,
         ws: &mut SearchWorkspace<F>,
         out: &mut Detection,
     );
@@ -114,26 +126,16 @@ pub trait PreparedDetector<F: Float>: Send + Sync {
     /// The constellation this detector decides over.
     fn constellation(&self) -> &Constellation;
 
-    /// Budget-bounded (anytime) decode: like [`Self::detect_prepared_into`]
-    /// but allowed to stop early when `budget` trips, returning the
-    /// best-so-far leaf with
-    /// [`SearchQuality::BudgetTruncated`](crate::detector::SearchQuality)
-    /// set in the stats. The default ignores the budget and runs the full
-    /// decode — correct only for engines whose cost is a small constant
-    /// (the linear family); every tree search (DFS, subtree-parallel,
-    /// best-first, BFS, K-best, FSD, and their quantized counterparts)
-    /// overrides it with a real budget check. Whenever the budget is not
-    /// hit the output must be bit-identical to
-    /// [`Self::detect_prepared_into`].
-    fn detect_prepared_budgeted_into(
+    /// Unbudgeted decode: [`Self::detect_prepared_budgeted_into`] under
+    /// [`DecodeBudget::UNLIMITED`].
+    fn detect_prepared_into(
         &self,
         prep: &Prepared<F>,
         radius_sqr: f64,
-        _budget: &DecodeBudget,
         ws: &mut SearchWorkspace<F>,
         out: &mut Detection,
     ) {
-        self.detect_prepared_into(prep, radius_sqr, ws, out);
+        self.detect_prepared_budgeted_into(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
     }
 
     /// Cross-subcarrier fused block decode: run ONE level-synchronous
@@ -364,12 +366,10 @@ mod tests {
         }
     }
 
-    /// The default budgeted entry point must be the plain decode,
-    /// bit-for-bit, for every engine that does not override it. (K-best
-    /// used to sit here; it now honors budgets and is covered by its own
-    /// truncation tests instead.)
+    /// An engine without a budget check decodes in full under any budget,
+    /// bit-for-bit the plain decode.
     #[test]
-    fn default_budgeted_decode_is_the_plain_decode() {
+    fn unchecked_budget_decode_is_the_plain_decode() {
         let (c, frames) = frames(4);
         let dets: Vec<Box<dyn PreparedDetector<f64>>> = vec![Box::new(BestFirstSd::new(c.clone()))];
         let mut ws = SearchWorkspace::new();
@@ -387,7 +387,7 @@ mod tests {
                     &mut ws,
                     &mut budgeted,
                 );
-                assert_eq!(budgeted, plain, "default impl must ignore the budget");
+                assert_eq!(budgeted, plain, "best-first must ignore the budget");
                 assert!(!budgeted.stats.quality.is_truncated());
             }
         }

@@ -62,17 +62,8 @@ impl<F: Float> PreparedDetector<F> for FixedComplexitySd<F> {
     /// Fixed-complexity sweep into a caller-owned [`Detection`]. The
     /// workload is fixed by construction, so `radius_sqr` is ignored; a
     /// warm workspace + output pair decodes without heap allocation.
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<F>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<F>,
-        out: &mut Detection,
-    ) {
-        self.detect_prepared_budgeted_into(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
-    }
-
-    /// The FSD sweep under an anytime budget, checked once per prefix at
+    ///
+    /// An anytime budget is checked once per prefix at
     /// the odometer top: a trip keeps the incumbent leaf and flags
     /// [`SearchQuality::BudgetTruncated`]. The first prefix always runs
     /// to a leaf (the incumbent starts at `∞`), so even a zero budget

@@ -69,17 +69,8 @@ impl<F: Float> PreparedDetector<F> for KBestSd<F> {
     /// a warm workspace + output pair decodes without heap allocation.
     /// The sweep is breadth-limited rather than radius-bounded, so
     /// `radius_sqr` is ignored.
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<F>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<F>,
-        out: &mut Detection,
-    ) {
-        self.detect_prepared_budgeted_into(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
-    }
-
-    /// The K-best sweep under an anytime budget: the node cap / deadline
+    ///
+    /// Under an anytime budget the node cap / deadline
     /// is checked once per tree level, and a trip ends the level loop
     /// with the best frontier node greedily completed to a leaf
     /// ([`SearchQuality::BudgetTruncated`]). Untripped decodes are

@@ -22,7 +22,8 @@
 //! ## Engine trait
 //!
 //! Every decoder implements [`PreparedDetector`] ([`engine`]): one
-//! scratch-reusing decode entry point (`detect_prepared_into`) plus small
+//! scratch-reusing, budget-taking decode entry point
+//! (`detect_prepared_budgeted_into`) plus small
 //! policy hooks, from which the allocating conveniences and the
 //! [`Detector`] / [`WorkspaceDetector`] bridges are derived. Higher
 //! layers (the serve tier registry, batch drivers, benches) treat the
@@ -76,7 +77,7 @@ pub use arena::{NodeArena, SearchWorkspace};
 pub use batch::{batch_stats, decode_batch, decode_batch_reused, WorkspaceDetector};
 pub use best_first::BestFirstSd;
 pub use bfs::{BfsGemmSd, BfsLevelTrace};
-pub use block::{decode_block_budgeted_into, decode_block_fused_into, decode_block_into};
+pub use block::{decode_block_budgeted_into, decode_block_fused_into};
 pub use detector::{Detection, DetectionStats, Detector, SearchQuality};
 pub use dfs::SphereDecoder;
 pub use engine::{DecodeBudget, PreparedDetector};

@@ -8,7 +8,7 @@
 
 use crate::arena::SearchWorkspace;
 use crate::detector::Detection;
-use crate::engine::{impl_detector_via_prepared, PreparedDetector};
+use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::preprocess::{PrepScratch, Prepared};
 use sd_math::{solve_hermitian, Complex, C64};
 use sd_wireless::{Constellation, FrameData};
@@ -42,10 +42,11 @@ impl PreparedDetector<f64> for ZfDetector {
         prep.load_frame(frame);
     }
 
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<f64>,
         _radius_sqr: f64,
+        _budget: &DecodeBudget,
         _ws: &mut SearchWorkspace<f64>,
         out: &mut Detection,
     ) {
@@ -89,10 +90,11 @@ impl PreparedDetector<f64> for MmseDetector {
         prep.load_frame(frame);
     }
 
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<f64>,
         _radius_sqr: f64,
+        _budget: &DecodeBudget,
         _ws: &mut SearchWorkspace<f64>,
         out: &mut Detection,
     ) {
@@ -145,10 +147,11 @@ impl PreparedDetector<f64> for MrcDetector {
         prep.load_frame(frame);
     }
 
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<f64>,
         _radius_sqr: f64,
+        _budget: &DecodeBudget,
         _ws: &mut SearchWorkspace<f64>,
         out: &mut Detection,
     ) {

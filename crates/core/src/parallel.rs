@@ -345,16 +345,6 @@ impl<F: Float> PreparedDetector<F> for ParallelSphereDecoder<F> {
     /// (or a degenerate single-level tree) this is exactly the
     /// sequential [`SphereDecoder`](crate::dfs::SphereDecoder) decode —
     /// no pool is consulted and the stats are bit-identical.
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<F>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<F>,
-        out: &mut Detection,
-    ) {
-        self.decode_budgeted(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
-    }
-
     fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,

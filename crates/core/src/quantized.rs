@@ -460,16 +460,6 @@ impl PreparedDetector<f64> for QuantizedKBestSd {
         true
     }
 
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<f64>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<f64>,
-        out: &mut Detection,
-    ) {
-        self.detect_prepared_budgeted_into(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
-    }
-
     /// The quantized K-best sweep under an anytime budget (checked once
     /// per level, like the float engine): a trip completes the best
     /// frontier node greedily in the fixed domain and flags
@@ -738,16 +728,6 @@ impl PreparedDetector<f64> for QuantizedFsd {
 
     fn channel_cacheable(&self) -> bool {
         true
-    }
-
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<f64>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<f64>,
-        out: &mut Detection,
-    ) {
-        self.detect_prepared_budgeted_into(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
     }
 
     /// The quantized FSD sweep under an anytime budget (checked once per
@@ -1285,16 +1265,6 @@ impl PreparedDetector<f64> for QuantizedSphereDecoder {
 
     fn initial_radius_sqr(&self, n_rx: usize, noise_variance: f64) -> f64 {
         self.initial_radius.resolve(n_rx, noise_variance)
-    }
-
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<f64>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<f64>,
-        out: &mut Detection,
-    ) {
-        self.decode_budgeted(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
     }
 
     fn detect_prepared_budgeted_into(

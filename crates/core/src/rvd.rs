@@ -22,7 +22,7 @@
 use crate::arena::SearchWorkspace;
 use crate::detector::Detection;
 use crate::dfs::SphereDecoder;
-use crate::engine::{impl_detector_via_prepared, PreparedDetector};
+use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::preprocess::{qr_flops, PrepScratch, Prepared};
 use sd_math::{qr_with_qty, Complex, Float, Matrix};
 use sd_wireless::{Constellation, FrameData, Modulation};
@@ -149,10 +149,11 @@ impl<F: Float> PreparedDetector<F> for RvdSphereDecoder<F> {
     /// Run the inner sorted-DFS over the `2M`-level real tree, then fold
     /// the interleaved PAM decisions back to `M` complex symbols in
     /// place.
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,
         radius_sqr: f64,
+        _budget: &DecodeBudget,
         ws: &mut SearchWorkspace<F>,
         out: &mut Detection,
     ) {

@@ -18,7 +18,7 @@
 
 use crate::arena::SearchWorkspace;
 use crate::detector::{Detection, DetectionStats};
-use crate::engine::{impl_detector_via_prepared, PreparedDetector};
+use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::pd::{eval_children, sorted_children, EvalStrategy, PdScratch};
 use crate::preprocess::{preprocess, Prepared};
 use sd_math::Float;
@@ -230,10 +230,11 @@ impl<F: Float> PreparedDetector<F> for SoftSphereDecoder<F> {
     /// keeps only the best candidate. Use
     /// [`SoftSphereDecoder::detect_soft_prepared`] when the LLRs are
     /// wanted.
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,
         _radius_sqr: f64,
+        _budget: &DecodeBudget,
         _ws: &mut SearchWorkspace<F>,
         out: &mut Detection,
     ) {

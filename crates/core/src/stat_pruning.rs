@@ -12,7 +12,7 @@
 
 use crate::arena::SearchWorkspace;
 use crate::detector::Detection;
-use crate::engine::{impl_detector_via_prepared, PreparedDetector};
+use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::pd::{eval_children, sorted_children, EvalStrategy};
 use crate::preprocess::Prepared;
 use sd_math::Float;
@@ -47,10 +47,11 @@ impl<F: Float> PreparedDetector<F> for StatPruningSd<F> {
     /// Dual-prune sorted DFS into a caller-owned [`Detection`]. The
     /// statistical threshold replaces the sphere radius, so `radius_sqr`
     /// is ignored; the noise variance is read from the prepared problem.
-    fn detect_prepared_into(
+    fn detect_prepared_budgeted_into(
         &self,
         prep: &Prepared<F>,
         _radius_sqr: f64,
+        _budget: &DecodeBudget,
         ws: &mut SearchWorkspace<F>,
         out: &mut Detection,
     ) {

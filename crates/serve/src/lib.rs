@@ -55,13 +55,16 @@
 //!   load widens the decoder (latency), sustained backlog narrows it so
 //!   cores serve independent requests (throughput), with EWMA smoothing
 //!   and watermark hysteresis so the plan never flaps.
-//! * **Frame-scale serving** — a whole coherence block submitted as one
-//!   [`FrameRequest`] travels intact to one worker, gets one ladder
-//!   decision (cost scaled by block size), one shared channel
+//! * **Frame-scale serving, one serve path** — a whole coherence block
+//!   submitted as one [`FrameRequest`] travels intact to one worker, gets
+//!   one ladder decision (cost scaled by block size), one shared channel
 //!   factorization and one batched `ȳ = QᴴY` apply
-//!   ([`sd_core::decode_block_into`]), and comes back as a
+//!   ([`sd_core::decode_block_fused_into`]), and comes back as a
 //!   [`FrameResponse`] with per-subcarrier detections — bit-identical to
 //!   per-vector submission, at a fraction of the per-request overhead.
+//!   Vectors and frames share one admission routine and one worker
+//!   routine: a vector is a block of one, and so is a one-subcarrier
+//!   frame, which is served exactly like a vector (prep cache included).
 //! * **Observability** — lock-light [metrics] (latency/wait
 //!   histograms, batch-size distribution, tier and shed counters,
 //!   aggregated [`sd_core::DetectionStats`]).
@@ -94,10 +97,7 @@ pub use budget::{
     fsd_nodes, kbest_nodes, CoreBudgetPolicy, CostModel, TierCostClass, WorkerBudget,
 };
 pub use export::{json_line, prometheus_text, render, validate_json, ExportFormat};
-pub use ladder::{
-    choose_tier, choose_tier_block, choose_tier_block_budgeted, choose_tier_budgeted, LadderConfig,
-    TierDecision, MIN_ANYTIME_NODES,
-};
+pub use ladder::{choose_tier, LadderConfig, TierDecision, MIN_ANYTIME_NODES};
 pub use loadgen::{
     build_coherent_requests, build_frame_requests, build_requests, explode_frames, run_frame_load,
     run_load, run_request_stream, FrameLoadConfig, FrameLoadReport, LoadConfig, LoadReport,

@@ -111,7 +111,8 @@ pub struct ShardMetrics {
     pub prep_hits: AtomicU64,
     /// This shard's prep-cache misses.
     pub prep_misses: AtomicU64,
-    /// This shard's cache bypasses (disabled, non-cacheable tier, frames).
+    /// This shard's cache bypasses (disabled, non-cacheable tier, blocks of
+    /// more than one subcarrier).
     pub prep_bypass: AtomicU64,
 }
 
@@ -157,9 +158,10 @@ pub struct Metrics {
     pub prep_cache_hits: AtomicU64,
     /// Requests whose preparation factored (and cached) their channel.
     pub prep_cache_misses: AtomicU64,
-    /// Requests prepared outside the cache (cache disabled, or the tier's
-    /// preprocessing is not channel-cacheable). Every served request is
-    /// exactly one of hit / miss / bypass.
+    /// Requests prepared outside the cache (cache disabled, the tier's
+    /// preprocessing is not channel-cacheable, or a subcarrier of a block
+    /// of more than one). Every served request is exactly one of hit /
+    /// miss / bypass.
     pub prep_cache_bypass: AtomicU64,
     /// Batches drained from the ingress queue.
     pub batches: AtomicU64,
@@ -453,8 +455,9 @@ pub struct MetricsSnapshot {
     pub prep_cache_hits: u64,
     /// Requests whose preparation factored (and cached) their channel.
     pub prep_cache_misses: u64,
-    /// Requests prepared outside the cache (disabled or non-cacheable
-    /// tier). `hits + misses + bypass` counts every prepared request.
+    /// Requests prepared outside the cache (disabled, non-cacheable tier,
+    /// or a subcarrier of a block of more than one). `hits + misses +
+    /// bypass` counts every prepared request.
     pub prep_cache_bypass: u64,
     /// `deadline_missed / served`.
     pub deadline_miss_rate: f64,

@@ -11,12 +11,17 @@
 //!
 //! A [`FrameRequest`] is the block-scale variant: one coherence block of
 //! an OFDM resource grid — many receive vectors sharing one channel
-//! matrix — submitted as a single unit with one deadline. The runtime
-//! keeps the block intact through the worker pool, factors the shared
-//! channel once, and answers with a [`FrameResponse`] carrying one
-//! [`Detection`] per subcarrier. The same ownership round-trip applies
-//! ([`RejectedFrame`] on refusal, [`crate::ServeRuntime::recycle_frame`]
-//! on collection).
+//! matrix — submitted as a single unit with one deadline, answered with a
+//! [`FrameResponse`] carrying one [`Detection`] per subcarrier. The same
+//! ownership round-trip applies ([`RejectedFrame`] on refusal,
+//! [`crate::ServeRuntime::recycle_frame`] on collection).
+//!
+//! Both shapes take one serve path: a vector is a block of one. A block
+//! of `b` vectors stays intact through the worker pool and gets one
+//! ladder decision scaled by `b`. At `b == 1` — a vector, or a
+//! one-subcarrier frame — the worker prepares the vector on its own,
+//! through the shard's prep cache when the tier allows; a wider block
+//! factors its shared channel once for all subcarriers.
 
 use sd_core::Detection;
 use sd_wireless::FrameData;
@@ -170,9 +175,9 @@ pub struct FrameResponse {
     pub tier: usize,
     /// Registry label of that rung.
     pub tier_label: Arc<str>,
-    /// Channel preparations the block cost: 1 on the shared-prep path,
-    /// `block_len()` on the per-vector fallback — the numerator of the
-    /// prep-amortization ratio.
+    /// Channel preparations the block cost: 1 on the shared-prep path (and
+    /// for a one-subcarrier frame), `block_len()` on the per-vector
+    /// fallback — the numerator of the prep-amortization ratio.
     pub prep_factors: usize,
     /// Time spent queued before a worker picked the frame up.
     pub queue_wait: Duration,

@@ -39,7 +39,7 @@
 use crate::batcher::BatchPolicy;
 use crate::budget::{CoreBudgetPolicy, CostModel};
 use crate::export::{render, ExportFormat};
-use crate::ladder::{choose_tier_block_budgeted, LadderConfig};
+use crate::ladder::{choose_tier, LadderConfig};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::prep_cache::{route_hash, PrepCache};
 use crate::queue::{BoundedQueue, PushError, Weighted};
@@ -50,7 +50,7 @@ use crate::request::{
 };
 use crate::worker::Worker;
 use sd_core::{Detection, WorkerBudget};
-use sd_wireless::Constellation;
+use sd_wireless::{Constellation, FrameData};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -231,9 +231,10 @@ impl ServeConfig {
 }
 
 /// One unit of admitted work: a single vector or a whole coherence
-/// block. A frame is ONE queue item, so its block travels intact through
-/// the batcher — and through any steal — to one worker: the invariant
-/// the shared-prep fast path depends on.
+/// block. Both are served by one path — a vector is a block of one (see
+/// [`Ingress::frames`]). A frame is ONE queue item, so its block travels
+/// intact through the batcher — and through any steal — to one worker:
+/// the invariant the shared-prep fast path depends on.
 pub(crate) enum Ingress {
     Vector(DetectionRequest),
     Frame(FrameRequest),
@@ -243,14 +244,45 @@ impl Weighted for Ingress {
     /// Decisions carried: subcarriers for a frame, 1 for a vector. The
     /// batcher's budget and the steal/backlog accounting both count this.
     fn weight(&self) -> u64 {
-        match self {
-            Ingress::Vector(_) => 1,
-            Ingress::Frame(f) => f.block_len() as u64,
-        }
+        self.frames().len() as u64
     }
 }
 
 impl Ingress {
+    /// The detection problems this item carries, all sharing one channel
+    /// matrix: the vector's own frame, or the block's subcarriers.
+    pub(crate) fn frames(&self) -> &[FrameData] {
+        match self {
+            Ingress::Vector(r) => std::slice::from_ref(&r.frame),
+            Ingress::Frame(f) => &f.subcarriers,
+        }
+    }
+
+    /// Operating SNR in dB — the cost model's key.
+    pub(crate) fn snr_db(&self) -> f64 {
+        match self {
+            Ingress::Vector(r) => r.snr_db,
+            Ingress::Frame(f) => f.snr_db,
+        }
+    }
+
+    /// Response-time budget for the whole item, measured from admission.
+    pub(crate) fn deadline(&self) -> Duration {
+        match self {
+            Ingress::Vector(r) => r.deadline,
+            Ingress::Frame(f) => f.deadline,
+        }
+    }
+
+    /// Admission time, stamped by [`ServeRuntime::submit`] /
+    /// [`ServeRuntime::submit_frame`].
+    pub(crate) fn enqueued_at(&self) -> Option<Instant> {
+        match self {
+            Ingress::Vector(r) => r.enqueued_at,
+            Ingress::Frame(f) => f.enqueued_at,
+        }
+    }
+
     /// Admission-time predicted service cost (ns) stamped at submit — the
     /// amount the draining worker removes from the owning shard's
     /// [`Shard::queued_cost_ns`] gauge.
@@ -259,6 +291,16 @@ impl Ingress {
             Ingress::Vector(r) => r.admitted_cost_ns,
             Ingress::Frame(f) => f.admitted_cost_ns,
         }
+    }
+
+    /// Stamp the admission time and the admission cost.
+    fn stamp(&mut self, enqueued_at: Instant, cost_ns: u64) {
+        let (at, cost) = match self {
+            Ingress::Vector(r) => (&mut r.enqueued_at, &mut r.admitted_cost_ns),
+            Ingress::Frame(f) => (&mut f.enqueued_at, &mut f.admitted_cost_ns),
+        };
+        *at = Some(enqueued_at);
+        *cost = cost_ns;
     }
 }
 
@@ -539,54 +581,84 @@ impl ServeRuntime {
     }
 
     /// Offer a request. Returns it as [`Rejected`] when its affinity
-    /// shard's queue is full or the runtime is shutting down (the depth
-    /// in the rejection is that shard's, not the global backlog).
+    /// shard's queue is full, predictive admission refuses it, or the
+    /// runtime is shutting down (the depth in the rejection is that
+    /// shard's, not the global backlog).
     // The large Err is the contract: shedding hands the request (and its
     // frame buffers) straight back without touching the allocator.
     #[allow(clippy::result_large_err)]
-    pub fn submit(&self, mut req: DetectionRequest) -> Result<(), Rejected> {
+    pub fn submit(&self, req: DetectionRequest) -> Result<(), Rejected> {
+        self.admit(Ingress::Vector(req))
+            .map_err(|(item, reason)| match item {
+                Ingress::Vector(request) => Rejected { request, reason },
+                Ingress::Frame(_) => unreachable!("admission returns the item it was offered"),
+            })
+    }
+
+    /// Offer a whole coherence block as one unit. The frame is never
+    /// split: it travels through its affinity shard's queue (routed by the
+    /// block's shared `H`, like the vectors repeating that `H`) and the
+    /// batcher as a single item and is decoded by one worker with one
+    /// shared channel preparation. Returns it as [`RejectedFrame`] on the
+    /// same refusals as [`ServeRuntime::submit`].
+    ///
+    /// Its subcarriers also count into the vector-level `accepted` /
+    /// `rejected_*` counters, so `accepted == served` stays closed over
+    /// mixed vector/frame traffic.
+    #[allow(clippy::result_large_err)]
+    pub fn submit_frame(&self, req: FrameRequest) -> Result<(), RejectedFrame> {
+        self.admit(Ingress::Frame(req))
+            .map_err(|(item, reason)| match item {
+                Ingress::Frame(request) => RejectedFrame { request, reason },
+                Ingress::Vector(_) => unreachable!("admission returns the item it was offered"),
+            })
+    }
+
+    /// The one admission routine behind [`ServeRuntime::submit`] and
+    /// [`ServeRuntime::submit_frame`]: stamp the item, route it to its
+    /// affinity shard, run the predictive check and the cost stamp, push
+    /// it (rolling the cost back on refusal), and bump the counters —
+    /// the vector-level ones by the item's weight, the `frames_*` ones by
+    /// one for a frame. A refused item comes back with its reason.
+    #[allow(clippy::result_large_err)]
+    fn admit(&self, mut item: Ingress) -> Result<(), (Ingress, RejectReason)> {
         use std::sync::atomic::Ordering::Relaxed;
-        req.enqueued_at = Some(Instant::now());
-        let idx = self.shard_for(&req.frame.h);
+        let now = Instant::now();
+        let weight = item.weight();
+        let is_frame = matches!(item, Ingress::Frame(_));
         let m = &self.shared.metrics;
+        let count = |decisions: &AtomicU64, frames: &AtomicU64| {
+            if is_frame {
+                frames.fetch_add(1, Relaxed);
+            }
+            decisions.fetch_add(weight, Relaxed);
+        };
+        let idx = self.shard_for(&item.frames()[0].h);
         let shard = &self.shared.shards[idx];
-        if let Some(predicted_wait) = self.predicted_late(shard, req.deadline) {
-            m.rejected_predicted.fetch_add(1, Relaxed);
-            return Err(Rejected {
-                request: req,
-                reason: RejectReason::PredictedLate { predicted_wait },
-            });
+        if let Some(predicted_wait) = self.predicted_late(shard, item.deadline()) {
+            count(&m.rejected_predicted, &m.frames_rejected_predicted);
+            return Err((item, RejectReason::PredictedLate { predicted_wait }));
         }
-        req.admitted_cost_ns =
-            self.admission_cost_ns(shard, req.snr_db, req.frame.h.cols(), req.deadline, 1);
-        let cost = req.admitted_cost_ns;
+        let cost = self.admission_cost_ns(shard, &item);
+        item.stamp(now, cost);
         shard.queued_cost_ns.fetch_add(cost, Relaxed);
-        match shard.queue.try_push(Ingress::Vector(req)) {
+        let (item, reason) = match shard.queue.try_push(item) {
             Ok(()) => {
-                m.accepted.fetch_add(1, Relaxed);
-                m.shards[idx].routed.fetch_add(1, Relaxed);
-                Ok(())
+                count(&m.accepted, &m.frames_accepted);
+                m.shards[idx].routed.fetch_add(weight, Relaxed);
+                return Ok(());
             }
-            Err(PushError::Full(Ingress::Vector(request), depth)) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.rejected_full.fetch_add(1, Relaxed);
-                Err(Rejected {
-                    request,
-                    reason: RejectReason::QueueFull { depth },
-                })
+            Err(PushError::Full(item, depth)) => {
+                count(&m.rejected_full, &m.frames_rejected_full);
+                (item, RejectReason::QueueFull { depth })
             }
-            Err(PushError::Closed(Ingress::Vector(request))) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.rejected_shutdown.fetch_add(1, Relaxed);
-                Err(Rejected {
-                    request,
-                    reason: RejectReason::ShuttingDown,
-                })
+            Err(PushError::Closed(item)) => {
+                count(&m.rejected_shutdown, &m.frames_rejected_shutdown);
+                (item, RejectReason::ShuttingDown)
             }
-            Err(PushError::Full(Ingress::Frame(_), _) | PushError::Closed(Ingress::Frame(_))) => {
-                unreachable!("push returns the item it was offered")
-            }
-        }
+        };
+        shard.queued_cost_ns.fetch_sub(cost, Relaxed);
+        Err((item, reason))
     }
 
     /// The predictive-admission check: `Some(predicted_wait)` when the
@@ -612,25 +684,24 @@ impl ServeRuntime {
     /// Price an offered item for the queued-cost gauge: the service time
     /// the shard's cost model predicts for the tier the ladder would pick
     /// with the whole deadline still ahead, times the block size. Runs the
-    /// same `choose_tier_block_budgeted` walk the worker will (condition
-    /// gating skipped — the condition number is not known until prep), so
-    /// the stamp tracks what the item will actually cost rather than a
-    /// tier-blind mean. Returns 0 when predictive admission is off: the
+    /// same [`choose_tier`] walk the worker will (condition gating skipped
+    /// — the condition number is not known until prep), so the stamp
+    /// tracks what the item will actually cost rather than a tier-blind
+    /// mean. A rung the model has never timed predicts 0 ns; it is priced
+    /// instead at the nearest costlier rung that has a prediction — rungs
+    /// run most → least costly, so that is an upper bound, and a cold
+    /// floor cannot make a doomed item look free. A fully cold model
+    /// still stamps 0. Returns 0 when predictive admission is off: the
     /// gauge then has no reader and the submit path stays stamp-free.
-    fn admission_cost_ns(
-        &self,
-        shard: &Shard,
-        snr_db: f64,
-        m: usize,
-        deadline: Duration,
-        block: usize,
-    ) -> u64 {
+    fn admission_cost_ns(&self, shard: &Shard, item: &Ingress) -> u64 {
         if !self.shared.config.predictive_admission {
             return 0;
         }
         let tiers = &self.shared.tiers;
         let p = tiers[0].detector.constellation().order();
-        let d = choose_tier_block_budgeted(
+        let frames = item.frames();
+        let (snr_db, m, block) = (item.snr_db(), frames[0].h.cols(), frames.len());
+        let d = choose_tier(
             &self.shared.config.ladder,
             &shard.model,
             tiers,
@@ -638,80 +709,19 @@ impl ServeRuntime {
             None,
             m,
             p,
-            deadline,
+            item.deadline(),
             block,
         );
-        let per_vector =
-            shard
-                .model
-                .predict_ns_with(d.tier, &tiers[d.tier].cost, snr_db, None, m, p);
+        let per_vector = (0..=d.tier)
+            .rev()
+            .map(|i| {
+                shard
+                    .model
+                    .predict_ns(i, &tiers[i].cost, snr_db, None, m, p)
+            })
+            .find(|&ns| ns > 0.0)
+            .unwrap_or(0.0);
         (per_vector * block as f64).min(u64::MAX as f64) as u64
-    }
-
-    /// Offer a whole coherence block as one unit. The frame is never
-    /// split: it travels through its affinity shard's queue (routed by the
-    /// block's shared `H`, like the vectors repeating that `H`) and the
-    /// batcher as a single item and is decoded by one worker with one
-    /// shared channel preparation. Returns it as [`RejectedFrame`] when
-    /// the shard's queue is full or the runtime is shutting down.
-    ///
-    /// Its subcarriers also count into the vector-level `accepted` /
-    /// `rejected_*` counters, so `accepted == served` stays closed over
-    /// mixed vector/frame traffic.
-    #[allow(clippy::result_large_err)]
-    pub fn submit_frame(&self, mut req: FrameRequest) -> Result<(), RejectedFrame> {
-        use std::sync::atomic::Ordering::Relaxed;
-        req.enqueued_at = Some(Instant::now());
-        let b = req.block_len() as u64;
-        let idx = self.shard_for(&req.subcarriers[0].h);
-        let m = &self.shared.metrics;
-        let shard = &self.shared.shards[idx];
-        if let Some(predicted_wait) = self.predicted_late(shard, req.deadline) {
-            m.frames_rejected_predicted.fetch_add(1, Relaxed);
-            m.rejected_predicted.fetch_add(b, Relaxed);
-            return Err(RejectedFrame {
-                request: req,
-                reason: RejectReason::PredictedLate { predicted_wait },
-            });
-        }
-        req.admitted_cost_ns = self.admission_cost_ns(
-            shard,
-            req.snr_db,
-            req.subcarriers[0].h.cols(),
-            req.deadline,
-            req.block_len(),
-        );
-        let cost = req.admitted_cost_ns;
-        shard.queued_cost_ns.fetch_add(cost, Relaxed);
-        match shard.queue.try_push(Ingress::Frame(req)) {
-            Ok(()) => {
-                m.frames_accepted.fetch_add(1, Relaxed);
-                m.accepted.fetch_add(b, Relaxed);
-                m.shards[idx].routed.fetch_add(b, Relaxed);
-                Ok(())
-            }
-            Err(PushError::Full(Ingress::Frame(request), depth)) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.frames_rejected_full.fetch_add(1, Relaxed);
-                m.rejected_full.fetch_add(b, Relaxed);
-                Err(RejectedFrame {
-                    request,
-                    reason: RejectReason::QueueFull { depth },
-                })
-            }
-            Err(PushError::Closed(Ingress::Frame(request))) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.frames_rejected_shutdown.fetch_add(1, Relaxed);
-                m.rejected_shutdown.fetch_add(b, Relaxed);
-                Err(RejectedFrame {
-                    request,
-                    reason: RejectReason::ShuttingDown,
-                })
-            }
-            Err(PushError::Full(Ingress::Vector(_), _) | PushError::Closed(Ingress::Vector(_))) => {
-                unreachable!("push returns the item it was offered")
-            }
-        }
     }
 
     /// Collect one response without blocking.
@@ -1139,8 +1149,8 @@ mod tests {
 
     /// Regression for the tier-blind admission estimate: a backlog of
     /// cheap k-best-tier requests must not shed a probe that the queue
-    /// could absorb hundreds of times over, even when the shard's *mean*
-    /// service time is dominated by exact-tier milliseconds. Under the old
+    /// could absorb hundreds of times over, even when the shard's exact
+    /// tier serves in milliseconds. Under the old
     /// `backlog × mean_service_ns` estimate, 20 queued items priced at a
     /// ≈80 ms blended mean predicted a 1.6 s wait and shed the 5 ms probe;
     /// the per-tier cost stamps price them at ≈15 µs each and admit it.
@@ -1161,14 +1171,21 @@ mod tests {
         // Train the shard model directly (the runtime is paused, so the
         // EWMAs are exactly what we write): the exact tier costs 100 ms
         // per vector (1e6 nodes at 100 ns/node), the floor tier 1 µs.
-        // The blended mean lands near 80 ms — the figure the old
+        // A blended mean of the two lands near 80 ms — the figure the old
         // tier-blind estimate would have priced *every* queued item at.
         let model = &rt.shared.shards[0].model;
-        model.observe(0, &TierCostClass::Adaptive, 12.0, 1_000_000, 100_000_000);
-        model.observe(2, &TierCostClass::Linear, 12.0, 0, 1_000);
+        model.observe(
+            0,
+            &TierCostClass::Adaptive,
+            12.0,
+            None,
+            1_000_000,
+            100_000_000,
+        );
+        model.observe(2, &TierCostClass::Linear, 12.0, None, 0, 1_000);
         assert!(
-            model.mean_service_ns() > 1e7,
-            "the tier-blind mean must be milliseconds for the regression to bite"
+            model.tier_service_ns(0) > 1e7,
+            "the exact tier must serve in milliseconds for the regression to bite"
         );
 
         let mut rng = StdRng::seed_from_u64(31);
@@ -1202,5 +1219,47 @@ mod tests {
         let (snap, _, _) = rt.shutdown();
         assert_eq!(snap.rejected_predicted, 1);
         assert_eq!(snap.served, 24, "everything admitted is served");
+    }
+
+    /// Regression: a rung the model has never timed must not read as free
+    /// to admission. The exact tier is warm, the MMSE floor cold; a 1 ns
+    /// deadline sends the ladder to the floor, whose 0 ns prediction used
+    /// to stamp every doomed request at 0 and keep the frozen backlog at
+    /// 0 ns, so nothing was ever shed. Priced at the nearest costlier rung
+    /// with a prediction (K-best), the first request fills the backlog
+    /// and every later one is refused.
+    #[test]
+    fn cold_floor_does_not_make_doomed_requests_free() {
+        use crate::budget::TierCostClass;
+        let c = Constellation::new(Modulation::Qam4);
+        let rt = ServeRuntime::start(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(64)
+                .with_predictive_admission(true)
+                .paused(),
+            c.clone(),
+        );
+        // 100 ns/node from one exact-tier decode; the floor stays cold.
+        let model = &rt.shared.shards[0].model;
+        model.observe(0, &TierCostClass::Adaptive, 12.0, None, 10_000, 1_000_000);
+        assert_eq!(model.tier_service_ns(2), 0.0, "the floor must be cold");
+
+        let mut rng = StdRng::seed_from_u64(32);
+        let n = 16;
+        for id in 0..n {
+            let f = FrameData::generate(4, 4, &c, noise_variance(12.0, 4), &mut rng);
+            let res = rt.submit(DetectionRequest::new(id, f, 12.0, Duration::from_nanos(1)));
+            if id == 0 {
+                res.expect("an empty backlog admits the first request");
+            } else {
+                let rej = res.expect_err("the first request's stamp must trip the gate");
+                assert!(matches!(rej.reason, RejectReason::PredictedLate { .. }));
+            }
+        }
+        rt.resume();
+        let (snap, _, _) = rt.shutdown();
+        assert_eq!(snap.rejected_predicted, n - 1);
+        assert_eq!(snap.served, 1);
     }
 }

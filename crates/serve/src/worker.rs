@@ -1,9 +1,9 @@
 //! The worker loop: drain a batch from the worker's shard, decode each
-//! request at its ladder rung, push the batch of responses.
+//! item at its ladder rung, push the batch of responses.
 //!
 //! Each worker owns every scratch buffer the decode path needs
 //! ([`PrepScratch`], [`SearchWorkspace`], a reusable [`Prepared`], a
-//! [`BlockPrep`] for the frame path, the batch and response vectors, a
+//! [`BlockPrep`] for blocks, the batch and response vectors, a
 //! batch-level stats accumulator), so the steady-state path performs
 //! **zero heap allocations per request**: the registry tiers are driven
 //! entirely through [`sd_core::PreparedDetector`]'s `_into` entry points,
@@ -25,27 +25,43 @@
 //! bit-identical because every tier's decode depends only on the request,
 //! never on which worker ran it.
 //!
-//! A batch item is either one vector ([`DetectionRequest`]) or one whole
-//! coherence block ([`crate::FrameRequest`]); frames are never split —
-//! not by the batcher and not by a steal — so one worker decodes the
-//! block with **one** shared channel preparation
-//! ([`sd_core::decode_block_fused_into`]) and one ladder decision scaled
-//! by the block size. Level-synchronous tiers additionally take the
-//! cross-subcarrier **fused** decode (one GEMM batch per tree level for
-//! the whole block, counted in `frames_fused`); the rest run the shared-
-//! prep per-subcarrier loop. Either way the per-subcarrier results are
-//! bit-identical to a per-vector submission of the same traffic. Batches
-//! and steals are sized in decisions ([`crate::queue::Weighted`]), so a
-//! wide frame is a batch of its own and concurrent frames spread across
-//! workers. The registry's engines are shared by every worker and hold no
-//! per-decode mutable state — the quantized engines' integer scratch is
-//! in the worker's [`SearchWorkspace`] too — so two workers decoding
-//! through one engine never wait on each other.
+//! **One serve path.** A batch item is either one vector
+//! ([`crate::DetectionRequest`]) or one whole coherence block
+//! ([`crate::FrameRequest`]), and both go through [`Worker::serve`]: a
+//! vector is a block of `b = 1`. The ladder decision (cost scaled by
+//! `b`), the prediction, the budget, the cost-model observation and every
+//! shared counter are computed once from `b`. The decode step is chosen
+//! by `b`, not by request kind:
+//!
+//! * `b == 1` keeps the per-vector preparation — through the shard's prep
+//!   cache when the tier is cacheable and the cache is on (counted as
+//!   `prep_cache_hits`/`prep_cache_misses`), else a plain
+//!   `prepare_frame_into` (`prep_cache_bypass`). A one-subcarrier frame
+//!   is served exactly like a vector.
+//! * `b > 1` calls [`sd_core::decode_block_fused_into`]: one shared
+//!   channel preparation for the block; level-synchronous tiers run the
+//!   cross-subcarrier fused sweep (one GEMM batch per tree level, counted
+//!   in `frames_fused`), the rest the shared-prep per-subcarrier loop.
+//!   Blocks do not go through the prep cache; every subcarrier counts as
+//!   a `prep_cache_bypass`, so `hits + misses + bypass == served` holds
+//!   over mixed traffic.
+//!
+//! Either way the per-subcarrier results are bit-identical to a
+//! per-vector submission of the same traffic. Only the response type and
+//! the frame-only counters (`frames_*`, `frame_*`, and `frame_latency_ns`
+//! in place of `latency_ns`) depend on the kind. Frames are never split
+//! — not by the batcher and not by a steal — and batches and steals are
+//! sized in decisions ([`crate::queue::Weighted`]), so a wide frame is a
+//! batch of its own and concurrent frames spread across workers. The
+//! registry's engines are shared by every worker and hold no per-decode
+//! mutable state — the quantized engines' integer scratch is in the
+//! worker's [`SearchWorkspace`] too — so two workers decoding through one
+//! engine never wait on each other.
 
 use crate::budget::CostModel;
-use crate::ladder::{choose_tier_block_budgeted, choose_tier_budgeted};
+use crate::ladder::choose_tier;
 use crate::queue::{BatchPop, Weighted};
-use crate::request::{DetectionRequest, DetectionResponse, FrameRequest, FrameResponse};
+use crate::request::{DetectionResponse, FrameResponse};
 use crate::runtime::{Ingress, Shared};
 use sd_core::{
     decode_block_fused_into, BlockPrep, ChannelObservables, Detection, DetectionStats, PrepScratch,
@@ -68,7 +84,7 @@ pub(crate) struct Worker {
     order: usize,
     prep_scratch: PrepScratch<f64>,
     prep: Prepared<f64>,
-    /// Shared-prep block state for the frame path.
+    /// Shared-prep block state for blocks of more than one vector.
     block: BlockPrep<f64>,
     ws: SearchWorkspace<f64>,
     batch: Vec<Ingress>,
@@ -174,20 +190,7 @@ impl Worker {
             let size = batch.len();
             self.batch_stats.reset(0);
             for item in batch.drain(..) {
-                match item {
-                    Ingress::Vector(req) => {
-                        let resp = self.serve_one(req, stolen);
-                        self.batch_stats.merge(&resp.detection.stats);
-                        self.done.push(resp);
-                    }
-                    Ingress::Frame(req) => {
-                        let resp = self.serve_frame(req, stolen);
-                        for d in &resp.detections {
-                            self.batch_stats.merge(&d.stats);
-                        }
-                        self.done_frames.push(resp);
-                    }
-                }
+                self.serve(item, stolen);
             }
             self.batch = batch;
             let m = &self.shared.metrics;
@@ -200,163 +203,33 @@ impl Worker {
         }
     }
 
-    fn serve_one(&mut self, req: DetectionRequest, stolen: bool) -> DetectionResponse {
+    /// Serve one queue item — a vector or a whole coherence block of
+    /// `b = frames.len()` receive vectors — and queue its response for
+    /// the batch push. One ladder decision (per-vector cost scaled by
+    /// `b`), one decode (per-vector preparation at `b == 1`, the fused
+    /// block driver for wider blocks), one cost-model observation at
+    /// per-vector granularity.
+    fn serve(&mut self, item: Ingress, stolen: bool) {
         use std::sync::atomic::Ordering::Relaxed;
         let started = Instant::now();
-        let enqueued = req.enqueued_at.unwrap_or(started);
+        let enqueued = item.enqueued_at().unwrap_or(started);
         let queue_wait = started.saturating_duration_since(enqueued);
-        let remaining = req.deadline.saturating_sub(queue_wait);
-        let m = req.frame.h.cols();
-        // The pre-decode complexity observable: the channel's conditioning
-        // proxy, computed from column norms in O(NM) — far cheaper than
-        // the QR it predicts for.
-        let cond = ChannelObservables::from_channel(&req.frame.h).condition_log2();
-        let decision = choose_tier_budgeted(
+        let deadline = item.deadline();
+        let remaining = deadline.saturating_sub(queue_wait);
+        let snr_db = item.snr_db();
+        let frames = item.frames();
+        let b = frames.len();
+        let weight = b as u64;
+        let m = frames[0].h.cols();
+        // The pre-decode complexity observable: the (shared) channel's
+        // conditioning proxy, computed from column norms in O(NM) — far
+        // cheaper than the QR it predicts for.
+        let cond = ChannelObservables::from_channel(&frames[0].h).condition_log2();
+        let decision = choose_tier(
             &self.shared.config.ladder,
             self.model(),
             &self.shared.tiers,
-            req.snr_db,
-            Some(cond),
-            m,
-            self.order,
-            remaining,
-        );
-        let tier_idx = decision.tier;
-        let tier = &self.shared.tiers[tier_idx];
-        // Sample the prediction the ladder acted on, so the validation
-        // histogram measures exactly the model the decision saw.
-        let predicted_ns = self.model().predict_ns_with(
-            tier_idx,
-            &tier.cost,
-            req.snr_db,
-            Some(cond),
-            m,
-            self.order,
-        );
-
-        let mut det: Detection = self.shared.pool.lock().unwrap().pop().unwrap_or_default();
-        // Channel-coherent preparation: tiers whose preprocessing is the
-        // shared QR split go through the shard's factorization cache, so
-        // requests repeating one H — which affinity routing lands on this
-        // shard — skip the QR. Bit-identical either way; `prep_flops` is
-        // charged in full on hits so complexity accounting stays
-        // comparable.
-        let metrics = &self.shared.metrics;
-        let sm = &metrics.shards[self.shard_idx];
-        if self.shared.config.prep_cache > 0 && tier.detector.channel_cacheable() {
-            let hit = self.shared.shards[self.shard_idx]
-                .prep_cache
-                .lock()
-                .unwrap()
-                .prepare(
-                    tier_idx,
-                    &req.frame,
-                    tier.detector.ordering(),
-                    tier.detector.constellation(),
-                    &mut self.prep_scratch,
-                    &mut self.prep,
-                );
-            if hit {
-                metrics.prep_cache_hits.fetch_add(1, Relaxed);
-                sm.prep_hits.fetch_add(1, Relaxed);
-            } else {
-                metrics.prep_cache_misses.fetch_add(1, Relaxed);
-                sm.prep_misses.fetch_add(1, Relaxed);
-            }
-        } else {
-            tier.detector
-                .prepare_frame_into(&req.frame, &mut self.prep_scratch, &mut self.prep);
-            metrics.prep_cache_bypass.fetch_add(1, Relaxed);
-            sm.prep_bypass.fetch_add(1, Relaxed);
-        }
-        let r2 = tier
-            .detector
-            .initial_radius_sqr(req.frame.h.rows(), req.frame.noise_variance);
-        tier.detector.detect_prepared_budgeted_into(
-            &self.prep,
-            r2,
-            &decision.budget,
-            &mut self.ws,
-            &mut det,
-        );
-
-        let service_time = started.elapsed();
-        let latency = queue_wait + service_time;
-        let deadline_missed = latency > req.deadline;
-
-        let tm = &metrics.tiers[tier_idx];
-        tm.served.fetch_add(1, Relaxed);
-        let service_ns = service_time.as_nanos() as u64;
-        tm.predict_err_ns
-            .record((predicted_ns as i64 - service_ns as i64).unsigned_abs());
-        // `served` is bumped per request, *before* any miss increment, so
-        // a concurrent snapshot never observes missed > served (the old
-        // per-batch bump could report miss rates above 1 mid-batch).
-        metrics.served.fetch_add(1, Relaxed);
-        sm.served.fetch_add(1, Relaxed);
-        if !stolen {
-            sm.affinity_served.fetch_add(1, Relaxed);
-        }
-        if deadline_missed {
-            metrics.deadline_missed.fetch_add(1, Relaxed);
-        }
-        // Every response is exactly one of the two: quality_exact +
-        // budget_exhausted == served.
-        if det.stats.quality.is_truncated() {
-            metrics.budget_exhausted.fetch_add(1, Relaxed);
-        } else {
-            metrics.quality_exact.fetch_add(1, Relaxed);
-        }
-        metrics.latency_ns.record(latency.as_nanos() as u64);
-        metrics.queue_wait_ns.record(queue_wait.as_nanos() as u64);
-
-        self.model().observe_with(
-            tier_idx,
-            &tier.cost,
-            req.snr_db,
-            Some(cond),
-            det.stats.nodes_generated,
-            service_ns,
-        );
-
-        DetectionResponse {
-            request: req,
-            detection: det,
-            tier: tier_idx,
-            tier_label: Arc::clone(&tier.label),
-            queue_wait,
-            service_time,
-            latency,
-            deadline_missed,
-        }
-    }
-
-    /// Decode one whole coherence block: one ladder decision (per-vector
-    /// cost scaled by the block size), one shared channel preparation on
-    /// cacheable tiers ([`decode_block_fused_into`]), per-subcarrier
-    /// detections into a pooled block buffer. Level-synchronous tiers run
-    /// the cross-subcarrier fused sweep (one GEMM batch per tree level);
-    /// the fall-back loop serves every other tier — results are
-    /// bit-identical either way. Frames bypass the prep cache — every
-    /// subcarrier counts as a `prep_cache_bypass` so
-    /// `hits + misses + bypass == served` stays an invariant over mixed
-    /// traffic.
-    fn serve_frame(&mut self, req: FrameRequest, stolen: bool) -> FrameResponse {
-        use std::sync::atomic::Ordering::Relaxed;
-        let started = Instant::now();
-        let enqueued = req.enqueued_at.unwrap_or(started);
-        let queue_wait = started.saturating_duration_since(enqueued);
-        let remaining = req.deadline.saturating_sub(queue_wait);
-        let b = req.block_len();
-        let m = req.subcarriers[0].h.cols();
-        // One conditioning observable for the whole block — the frame is
-        // defined by its shared channel.
-        let cond = ChannelObservables::from_channel(&req.subcarriers[0].h).condition_log2();
-        let decision = choose_tier_block_budgeted(
-            &self.shared.config.ladder,
-            self.model(),
-            &self.shared.tiers,
-            req.snr_db,
+            snr_db,
             Some(cond),
             m,
             self.order,
@@ -365,110 +238,192 @@ impl Worker {
         );
         let tier_idx = decision.tier;
         let tier = &self.shared.tiers[tier_idx];
-        // The prediction the ladder compared against the budget: the
-        // per-vector model scaled to the block.
-        let predicted_ns = self.model().predict_ns_with(
-            tier_idx,
-            &tier.cost,
-            req.snr_db,
-            Some(cond),
-            m,
-            self.order,
-        ) * b as f64;
+        // Sample the prediction the ladder acted on (the per-vector model
+        // scaled to the item), so the validation histogram measures
+        // exactly the model the decision saw.
+        let predicted_ns =
+            self.model()
+                .predict_ns(tier_idx, &tier.cost, snr_db, Some(cond), m, self.order)
+                * b as f64;
 
-        let mut dets: Vec<Detection> = self
-            .shared
-            .frame_pool
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_default();
-        dets.resize_with(b, Detection::default);
-        // Fused block dispatch: level-synchronous tiers decode the whole
-        // block one GEMM batch per tree level (bit-identical per
-        // subcarrier); everything else falls back to the shared-prep loop
-        // inside the same call.
-        let (prep_factors, fused) = decode_block_fused_into(
-            &*tier.detector,
-            &req.subcarriers,
-            &decision.budget,
-            &mut self.prep_scratch,
-            &mut self.block,
-            &mut self.prep,
-            &mut self.ws,
-            &mut dets,
-        );
-
-        let service_time = started.elapsed();
-        let latency = queue_wait + service_time;
-        let deadline_missed = latency > req.deadline;
+        // Pooled response buffers: one slot for a vector, a block for a
+        // frame. The unused one stays an empty default (no allocation).
+        let mut one = Detection::default();
+        let mut block = Vec::new();
+        let out: &mut [Detection] = match &item {
+            Ingress::Vector(_) => {
+                one = self
+                    .shared
+                    .pool
+                    .lock()
+                    .expect("detection pool poisoned")
+                    .pop()
+                    .unwrap_or_default();
+                std::slice::from_mut(&mut one)
+            }
+            Ingress::Frame(_) => {
+                block = self
+                    .shared
+                    .frame_pool
+                    .lock()
+                    .expect("frame pool poisoned")
+                    .pop()
+                    .unwrap_or_default();
+                block.resize_with(b, Detection::default);
+                &mut block
+            }
+        };
 
         let metrics = &self.shared.metrics;
         let sm = &metrics.shards[self.shard_idx];
+        let (prep_factors, fused) = if b == 1 {
+            // Channel-coherent preparation: tiers whose preprocessing is
+            // the shared QR split go through the shard's factorization
+            // cache, so requests repeating one H — which affinity routing
+            // lands on this shard — skip the QR. Bit-identical either way;
+            // `prep_flops` is charged in full on hits so complexity
+            // accounting stays comparable.
+            let frame = &frames[0];
+            if self.shared.config.prep_cache > 0 && tier.detector.channel_cacheable() {
+                let hit = self.shared.shards[self.shard_idx]
+                    .prep_cache
+                    .lock()
+                    .expect("prep cache poisoned")
+                    .prepare(
+                        tier_idx,
+                        frame,
+                        tier.detector.ordering(),
+                        tier.detector.constellation(),
+                        &mut self.prep_scratch,
+                        &mut self.prep,
+                    );
+                if hit {
+                    metrics.prep_cache_hits.fetch_add(1, Relaxed);
+                    sm.prep_hits.fetch_add(1, Relaxed);
+                } else {
+                    metrics.prep_cache_misses.fetch_add(1, Relaxed);
+                    sm.prep_misses.fetch_add(1, Relaxed);
+                }
+            } else {
+                tier.detector
+                    .prepare_frame_into(frame, &mut self.prep_scratch, &mut self.prep);
+                metrics.prep_cache_bypass.fetch_add(1, Relaxed);
+                sm.prep_bypass.fetch_add(1, Relaxed);
+            }
+            let r2 = tier
+                .detector
+                .initial_radius_sqr(frame.h.rows(), frame.noise_variance);
+            tier.detector.detect_prepared_budgeted_into(
+                &self.prep,
+                r2,
+                &decision.budget,
+                &mut self.ws,
+                &mut out[0],
+            );
+            (1, false)
+        } else {
+            metrics.prep_cache_bypass.fetch_add(weight, Relaxed);
+            sm.prep_bypass.fetch_add(weight, Relaxed);
+            decode_block_fused_into(
+                &*tier.detector,
+                frames,
+                &decision.budget,
+                &mut self.prep_scratch,
+                &mut self.block,
+                &mut self.prep,
+                &mut self.ws,
+                out,
+            )
+        };
+
+        let service_time = started.elapsed();
+        let latency = queue_wait + service_time;
+        let deadline_missed = latency > deadline;
+
         let tm = &metrics.tiers[tier_idx];
-        tm.served.fetch_add(b as u64, Relaxed);
+        tm.served.fetch_add(weight, Relaxed);
         let service_ns = service_time.as_nanos() as u64;
         tm.predict_err_ns
             .record((predicted_ns as i64 - service_ns as i64).unsigned_abs());
-        // Subcarriers count into the vector-level counters (served before
-        // missed, factors before subcarriers — both orders keep concurrent
-        // snapshots conservative), frame-level counters track blocks.
-        metrics.served.fetch_add(b as u64, Relaxed);
-        sm.served.fetch_add(b as u64, Relaxed);
+        // `served` counts decisions and is bumped per item, *before* any
+        // miss increment, so a concurrent snapshot never observes
+        // missed > served (the old per-batch bump could report miss rates
+        // above 1 mid-batch).
+        metrics.served.fetch_add(weight, Relaxed);
+        sm.served.fetch_add(weight, Relaxed);
         if !stolen {
-            sm.affinity_served.fetch_add(b as u64, Relaxed);
-        }
-        metrics.frames_served.fetch_add(1, Relaxed);
-        if fused {
-            metrics.frames_fused.fetch_add(1, Relaxed);
+            sm.affinity_served.fetch_add(weight, Relaxed);
         }
         if deadline_missed {
-            metrics.deadline_missed.fetch_add(b as u64, Relaxed);
-            metrics.frames_deadline_missed.fetch_add(1, Relaxed);
+            metrics.deadline_missed.fetch_add(weight, Relaxed);
         }
-        // Per-subcarrier quality accounting keeps the invariant over
-        // mixed traffic: quality_exact + budget_exhausted == served.
-        let truncated = dets
+        // Every decision is exactly one of the two:
+        // quality_exact + budget_exhausted == served.
+        let truncated = out
             .iter()
             .filter(|d| d.stats.quality.is_truncated())
             .count() as u64;
         metrics.budget_exhausted.fetch_add(truncated, Relaxed);
-        metrics
-            .quality_exact
-            .fetch_add(b as u64 - truncated, Relaxed);
-        metrics.prep_cache_bypass.fetch_add(b as u64, Relaxed);
-        sm.prep_bypass.fetch_add(b as u64, Relaxed);
-        metrics
-            .frame_prep_factors
-            .fetch_add(prep_factors as u64, Relaxed);
-        metrics.frame_subcarriers.fetch_add(b as u64, Relaxed);
-        metrics.frame_size.record(b as u64);
-        metrics.frame_latency_ns.record(latency.as_nanos() as u64);
+        metrics.quality_exact.fetch_add(weight - truncated, Relaxed);
         metrics.queue_wait_ns.record(queue_wait.as_nanos() as u64);
 
-        // One observation per frame at per-vector granularity, so the
-        // cost model keeps predicting single-vector service time and the
+        // One observation per item at per-vector granularity, so the cost
+        // model keeps predicting single-vector service time and the
         // ladder's block scaling stays dimensionally consistent.
-        let nodes: u64 = dets.iter().map(|d| d.stats.nodes_generated).sum();
-        self.model().observe_with(
+        let nodes: u64 = out.iter().map(|d| d.stats.nodes_generated).sum();
+        self.model().observe(
             tier_idx,
             &tier.cost,
-            req.snr_db,
+            snr_db,
             Some(cond),
-            nodes / b as u64,
-            service_ns / b as u64,
+            nodes / weight,
+            service_ns / weight,
         );
+        for d in out.iter() {
+            self.batch_stats.merge(&d.stats);
+        }
 
-        FrameResponse {
-            request: req,
-            detections: dets,
-            tier: tier_idx,
-            tier_label: Arc::clone(&tier.label),
-            prep_factors,
-            queue_wait,
-            service_time,
-            latency,
-            deadline_missed,
+        let tier_label = Arc::clone(&tier.label);
+        match item {
+            Ingress::Vector(request) => {
+                metrics.latency_ns.record(latency.as_nanos() as u64);
+                self.done.push(DetectionResponse {
+                    request,
+                    detection: one,
+                    tier: tier_idx,
+                    tier_label,
+                    queue_wait,
+                    service_time,
+                    latency,
+                    deadline_missed,
+                });
+            }
+            Ingress::Frame(request) => {
+                metrics.frames_served.fetch_add(1, Relaxed);
+                if fused {
+                    metrics.frames_fused.fetch_add(1, Relaxed);
+                }
+                if deadline_missed {
+                    metrics.frames_deadline_missed.fetch_add(1, Relaxed);
+                }
+                metrics
+                    .frame_prep_factors
+                    .fetch_add(prep_factors as u64, Relaxed);
+                metrics.frame_subcarriers.fetch_add(weight, Relaxed);
+                metrics.frame_size.record(weight);
+                metrics.frame_latency_ns.record(latency.as_nanos() as u64);
+                self.done_frames.push(FrameResponse {
+                    request,
+                    detections: block,
+                    tier: tier_idx,
+                    tier_label,
+                    prep_factors,
+                    queue_wait,
+                    service_time,
+                    latency,
+                    deadline_missed,
+                });
+            }
         }
     }
 }

@@ -436,4 +436,105 @@ fn serve_steady_state_is_request_allocation_free() {
          the steady-state serve path allocates"
     );
     rt.shutdown();
+
+    // The same guarantee for whole coherence blocks, through a tier that
+    // fuses the block (fixed-point K-best) and one that loops over it
+    // (exact DFS): frame requests and their pooled detection blocks
+    // round-trip too.
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sd_serve::{FrameRequest, Tier, TierCostClass};
+    // QAM4 keeps the exact tier's frame passes short: the whole binary
+    // must finish before the test harness's 60 s "still running" notice,
+    // which allocates on the harness thread during a measured window.
+    let c = sd_wireless::Constellation::new(sd_wireless::Modulation::Qam4);
+    let sigma2 = sd_wireless::noise_variance(14.0, 8);
+    let mut rng = StdRng::seed_from_u64(0xF4A3E);
+    let frames: Vec<_> = (0..4)
+        .map(|id| {
+            let base = sd_wireless::FrameData::generate(8, 8, &c, sigma2, &mut rng);
+            let subcarriers = (0..16)
+                .map(|_| {
+                    let mut f = base.clone();
+                    let fresh = sd_wireless::FrameData::generate(8, 8, &c, sigma2, &mut rng);
+                    f.y = fresh.y;
+                    f.tx = fresh.tx;
+                    f
+                })
+                .collect();
+            FrameRequest::new(id, subcarriers, 14.0, std::time::Duration::from_secs(1))
+        })
+        .collect();
+    let tiers = [
+        Tier::new(
+            "k-best-fx",
+            TierCostClass::fixed_kbest(16),
+            Box::new(sd_core::QuantizedKBestSd::new(c.clone(), 16)),
+        ),
+        Tier::new(
+            "exact",
+            TierCostClass::Adaptive,
+            Box::new(SphereDecoder::<f64>::new(c.clone())),
+        ),
+    ];
+    for tier in tiers {
+        let label = tier.label.clone();
+        let rt = ServeRuntime::start_with_registry(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(16)
+                .with_batch(BatchPolicy::unbatched())
+                .with_ladder(LadderConfig {
+                    enabled: false,
+                    kbest_k: 16,
+                    anytime: false,
+                }),
+            vec![tier],
+        );
+        let mut ring: std::collections::VecDeque<_> = frames
+            .iter()
+            .map(|f| FrameRequest::new(f.id, f.subcarriers.clone(), f.snr_db, f.deadline))
+            .collect();
+        for _ in 0..3 {
+            serve_frame_roundtrip(&rt, &mut ring);
+        }
+        let before = allocs();
+        let mut nodes = 0;
+        for _ in 0..8 {
+            nodes += serve_frame_roundtrip(&rt, &mut ring);
+        }
+        let delta = allocs() - before;
+        assert!(nodes > 10_000, "{label}: search too small: {nodes}");
+        assert_eq!(
+            delta, 0,
+            "{delta} allocations across 32 served {label} frames ({nodes} nodes): \
+             the steady-state frame serve path allocates"
+        );
+        rt.shutdown();
+    }
+}
+
+/// [`serve_roundtrip`] for whole frames: submit each block, wait for its
+/// response, recycle the detection block, and put the request back.
+/// Returns the nodes generated during the pass.
+fn serve_frame_roundtrip(
+    rt: &sd_serve::ServeRuntime,
+    ring: &mut std::collections::VecDeque<sd_serve::FrameRequest>,
+) -> u64 {
+    let mut nodes = 0;
+    for _ in 0..ring.len() {
+        let req = ring.pop_front().unwrap();
+        rt.submit_frame(req)
+            .expect("lock-step never fills the queue");
+        let resp = rt
+            .collect_frame_timeout(std::time::Duration::from_secs(10))
+            .expect("runtime stalled");
+        nodes += resp
+            .detections
+            .iter()
+            .map(|d| d.stats.nodes_generated)
+            .sum::<u64>();
+        ring.push_back(rt.recycle_frame(resp));
+    }
+    nodes
 }

@@ -5,7 +5,8 @@
 //! check spans the stock and quantized registries (adaptive, fixed,
 //! fixed-point, and linear rungs), survives overload/shedding, and the
 //! mixed-traffic prep-accounting invariant
-//! `hits + misses + bypass == served` holds throughout.
+//! `hits + misses + bypass == served` holds throughout. A one-subcarrier
+//! frame is served exactly like a vector, prep cache included.
 //!
 //! Also demonstrates the `sd-wireless` satellite: `OfdmSymbol`'s
 //! `(frame, new_channel)` decode protocol lets a caller holding a
@@ -20,7 +21,7 @@ use sd_core::{
 };
 use sd_serve::{
     build_frame_requests, default_registry, explode_frames, quantized_registry, FrameLoadConfig,
-    LadderConfig, RejectReason, ServeConfig, ServeRuntime, Tier, TierCostClass,
+    FrameRequest, LadderConfig, RejectReason, ServeConfig, ServeRuntime, Tier, TierCostClass,
 };
 use sd_wireless::{Constellation, GridConfig, Modulation, OfdmConfig, OfdmSymbol};
 use std::collections::HashMap;
@@ -341,6 +342,92 @@ fn mixed_frame_and_vector_traffic_keeps_prep_accounting_closed() {
         snap.prep_amortization > 1.0,
         "coherence blocks amortize preparation"
     );
+}
+
+/// A one-subcarrier frame is a vector: the same channel uses submitted
+/// as vectors and as one-subcarrier frames through a cacheable tier, with
+/// the prep cache on, must decode bit-identically at the same tier *and*
+/// take the same path through the cache — the frames count as hits and
+/// misses, never as `prep_cache_bypass`.
+#[test]
+fn one_subcarrier_frames_are_served_exactly_like_vectors() {
+    let cfg = grid_workload();
+    let c = Constellation::new(cfg.modulation);
+    // Coherence-block traffic, so consecutive channel uses repeat one H
+    // and the cache sees hits as well as misses.
+    let vectors = explode_frames(&build_frame_requests(&cfg, &c));
+    let n = vectors.len();
+    let exact = || {
+        let tier = default_registry(&c, &LadderConfig::default()).remove(0);
+        assert!(tier.detector.channel_cacheable(), "exact tier caches preps");
+        ServeRuntime::start_with_registry(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(n)
+                .with_ladder(ladder_off())
+                .with_prep_cache(4),
+            vec![tier],
+        )
+    };
+
+    let rt = exact();
+    let frames: Vec<FrameRequest> = vectors
+        .iter()
+        .map(|v| FrameRequest::new(v.id, vec![v.frame.clone()], v.snr_db, v.deadline))
+        .collect();
+    for req in vectors {
+        rt.submit(req).expect("queue sized for the stream");
+    }
+    let mut by_vector = HashMap::new();
+    for _ in 0..n {
+        let resp = rt
+            .collect_timeout(Duration::from_secs(10))
+            .expect("vector path stalled");
+        by_vector.insert(resp.request.id, (resp.tier, resp.detection));
+    }
+    let (vec_snap, _, _) = rt.shutdown();
+
+    let rt = exact();
+    for req in frames {
+        rt.submit_frame(req).expect("queue sized for the stream");
+    }
+    let mut by_frame = HashMap::new();
+    for _ in 0..n {
+        let mut resp = rt
+            .collect_frame_timeout(Duration::from_secs(10))
+            .expect("frame path stalled");
+        assert_eq!(resp.detections.len(), 1, "one subcarrier, one detection");
+        by_frame.insert(resp.request.id, (resp.tier, resp.detections.remove(0)));
+    }
+    let (frame_snap, _, _) = rt.shutdown();
+
+    for (id, (tier, want)) in &by_vector {
+        let (got_tier, got) = &by_frame[id];
+        assert_eq!(got_tier, tier, "use {id}: tier");
+        assert_eq!(got.indices, want.indices, "use {id}: decisions");
+        assert_eq!(got.stats, want.stats, "use {id}: statistics");
+        assert_eq!(
+            got.stats.final_radius_sqr.to_bits(),
+            want.stats.final_radius_sqr.to_bits(),
+            "use {id}: metric bits"
+        );
+    }
+    assert!(vec_snap.prep_cache_hits > 0, "coherent traffic must hit");
+    assert_eq!(frame_snap.prep_cache_hits, vec_snap.prep_cache_hits);
+    assert_eq!(frame_snap.prep_cache_misses, vec_snap.prep_cache_misses);
+    assert_eq!(
+        frame_snap.prep_cache_bypass, 0,
+        "frames of one take the cache"
+    );
+    assert_eq!(frame_snap.frames_served, n as u64);
+    for snap in [&vec_snap, &frame_snap] {
+        assert_eq!(snap.served, n as u64);
+        assert_eq!(
+            snap.prep_cache_hits + snap.prep_cache_misses + snap.prep_cache_bypass,
+            snap.served,
+            "hits + misses + bypass == served"
+        );
+    }
 }
 
 #[test]

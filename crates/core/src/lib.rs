@@ -85,7 +85,7 @@ pub use fsd::FixedComplexitySd;
 pub use kbest::KBestSd;
 pub use linear::{MmseDetector, MrcDetector, ZfDetector};
 pub use ml::MlDetector;
-pub use parallel::{ParallelSphereDecoder, SubtreeParallelSd, WorkerBudget};
+pub use parallel::{ParallelSphereDecoder, SubtreeParallelSd};
 pub use pd::EvalStrategy;
 pub use preprocess::{
     prepare_channel_into, prepare_frame_block_into, prepare_with_channel_into, preprocess,

@@ -45,8 +45,8 @@ use crate::radius::InitialRadius;
 use crate::trace::{span_clock, span_ns, Phase, SearchTelemetry, TraceSink};
 use sd_math::{AtomicF64Min, Float};
 use sd_wireless::Constellation;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The decode-wide spend ledger of a budgeted parallel decode: one atomic
@@ -97,41 +97,6 @@ impl SharedBudget {
     }
 }
 
-/// Shared, dynamically adjustable worker allowance for
-/// [`ParallelSphereDecoder`].
-///
-/// A controller (e.g. the serve runtime's adaptive core budget) writes
-/// the number of broadcast lanes the next decode may occupy; the decoder
-/// samples it once at the top of every decode and runs on
-/// `min(configured workers, budget)` lanes. The pool itself is built once
-/// at the configured width — shrinking the budget idles lanes (they
-/// return from the broadcast immediately), it never tears threads down,
-/// so re-planning is free on the decode path.
-///
-/// Correctness is budget-independent: the returned solution metric is the
-/// exact ML minimum for every lane count, and a budget of 1 takes the
-/// sequential code path outright (bit-identical stats included).
-#[derive(Debug)]
-pub struct WorkerBudget(AtomicUsize);
-
-impl WorkerBudget {
-    /// A budget of `workers` lanes (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        WorkerBudget(AtomicUsize::new(workers.max(1)))
-    }
-
-    /// Re-plan the allowance (clamped to at least 1). Decodes already in
-    /// flight finish at their sampled width; the next decode sees this.
-    pub fn set(&self, workers: usize) {
-        self.0.store(workers.max(1), Ordering::Relaxed);
-    }
-
-    /// Current allowance.
-    pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed).max(1)
-    }
-}
-
 /// Subtree-parallel exact sphere decoder (see the module docs).
 ///
 /// The established [`SubtreeParallelSd`] name is kept as an alias; all
@@ -143,8 +108,6 @@ pub struct ParallelSphereDecoder<F: Float = f64> {
     seq: crate::dfs::SphereDecoder<F>,
     workers: usize,
     split_levels: Option<usize>,
-    /// Optional shared lane allowance; `None` always runs all `workers`.
-    budget: Option<Arc<WorkerBudget>>,
     runtime: Mutex<ParRuntime<F>>,
 }
 
@@ -156,7 +119,6 @@ impl<F: Float> std::fmt::Debug for ParallelSphereDecoder<F> {
         f.debug_struct("ParallelSphereDecoder")
             .field("workers", &self.workers)
             .field("split_levels", &self.split_levels)
-            .field("budget", &self.budget)
             .field("seq", &self.seq)
             .finish()
     }
@@ -168,9 +130,6 @@ impl<F: Float> Clone for ParallelSphereDecoder<F> {
             seq: self.seq.clone(),
             workers: self.workers,
             split_levels: self.split_levels,
-            // The budget handle is shared, not duplicated: clones of one
-            // decoder answer to the same controller.
-            budget: self.budget.clone(),
             runtime: Mutex::new(ParRuntime::new()),
         }
     }
@@ -184,7 +143,6 @@ impl<F: Float> ParallelSphereDecoder<F> {
             seq: crate::dfs::SphereDecoder::new(constellation),
             workers: rayon::max_threads(),
             split_levels: None,
-            budget: None,
             runtime: Mutex::new(ParRuntime::new()),
         }
     }
@@ -193,15 +151,6 @@ impl<F: Float> ParallelSphereDecoder<F> {
     /// pool is ever spawned).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Builder: attach a shared [`WorkerBudget`]. Every decode samples the
-    /// budget once and runs on `min(workers, budget)` broadcast lanes; the
-    /// pool keeps its configured width, so a controller can re-plan the
-    /// allowance between decodes with no thread churn.
-    pub fn with_worker_budget(mut self, budget: Arc<WorkerBudget>) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -371,13 +320,7 @@ impl<F: Float> ParallelSphereDecoder<F> {
     ) {
         let m = prep.n_tx;
         let p = prep.order;
-        // Sample the lane allowance once per decode: the controller may
-        // re-plan concurrently, but this decode runs at a fixed width.
-        let active = match &self.budget {
-            Some(b) => self.workers.min(b.get()),
-            None => self.workers,
-        };
-        if active <= 1 || m < 2 {
+        if self.workers <= 1 || m < 2 {
             return self.seq.detect_prepared_budgeted_into(
                 prep,
                 radius_sqr,
@@ -459,12 +402,6 @@ impl<F: Float> ParallelSphereDecoder<F> {
                 let root_paths = &rt.root_paths[..];
                 let shared = &rt.shared;
                 rt.pool.as_ref().unwrap().broadcast(|ctx| {
-                    // Lanes beyond the sampled budget idle out immediately;
-                    // the round-robin deal below covers every root with
-                    // `active` workers, so correctness is width-independent.
-                    if ctx.index() >= active {
-                        return;
-                    }
                     let mut slot = slots[ctx.index()].lock().unwrap();
                     worker_search(
                         prep,
@@ -474,7 +411,7 @@ impl<F: Float> ParallelSphereDecoder<F> {
                         roots,
                         root_paths,
                         ctx.index(),
-                        active,
+                        self.workers,
                         &mut slot,
                         tracing,
                         shared_budget,
@@ -1017,47 +954,6 @@ mod tests {
             np < ns * 3,
             "parallel explored {np} vs serial {ns}: sharing is broken"
         );
-    }
-
-    #[test]
-    fn worker_budget_caps_lanes_and_stays_exact() {
-        let (c, frames) = frames(6, Modulation::Qam4, 8.0, 12, 111);
-        let budget = Arc::new(WorkerBudget::new(4));
-        let mp: ParallelSphereDecoder<f64> = ParallelSphereDecoder::new(c.clone())
-            .with_workers(4)
-            .with_worker_budget(Arc::clone(&budget));
-        let ml = MlDetector::new(c);
-        // Sweep the allowance across decodes — including values above the
-        // configured width, which must clamp to it — and stay exact ML.
-        for (i, f) in frames.iter().enumerate() {
-            budget.set([4, 2, 1, 3, 9][i % 5]);
-            assert_eq!(mp.detect(f).indices, ml.detect(f).indices);
-        }
-    }
-
-    #[test]
-    fn worker_budget_of_one_is_bit_identical_to_sequential() {
-        let (c, frames) = frames(6, Modulation::Qam16, 10.0, 10, 112);
-        let budget = Arc::new(WorkerBudget::new(1));
-        let mp: ParallelSphereDecoder<f64> = ParallelSphereDecoder::new(c.clone())
-            .with_workers(4)
-            .with_worker_budget(budget);
-        let sd: SphereDecoder<f64> = SphereDecoder::new(c);
-        for f in &frames {
-            // Budget 1 takes the sequential path outright: full Detection
-            // equality, stats included.
-            assert_eq!(mp.detect(f), sd.detect(f));
-        }
-    }
-
-    #[test]
-    fn worker_budget_clamps_to_at_least_one() {
-        let b = WorkerBudget::new(0);
-        assert_eq!(b.get(), 1);
-        b.set(0);
-        assert_eq!(b.get(), 1);
-        b.set(6);
-        assert_eq!(b.get(), 6);
     }
 
     /// An unlimited budget through the budgeted entry point is literally

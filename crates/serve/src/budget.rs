@@ -22,55 +22,6 @@
 //! bit-patterns in atomics: readers never lock, writers CAS.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-pub use sd_core::WorkerBudget;
-
-/// Policy of the adaptive core-budget controller (see
-/// [`crate::runtime::ServeConfig::with_core_budget`]).
-///
-/// The controller watches the summed shard backlog (an EWMA, smoothed by
-/// `alpha`) normalized by the worker count — "queued items per worker" —
-/// and splits the physical `cores` allowance between the two parallelism
-/// levels:
-///
-/// * load ≤ `low_watermark` → **latency plan**: the request-level workers
-///   are mostly idle, so the subtree-parallel exact decoder gets the whole
-///   allowance (`budget = cores`) and each decode finishes sooner;
-/// * load ≥ `high_watermark` → **throughput plan**: the backlog needs many
-///   independent decodes in flight, so the broadcast pool is narrowed to
-///   `max(1, cores / n_workers)` lanes and the cores go to the workers;
-/// * in between → hold the current plan (hysteresis — the gap between the
-///   watermarks is the dead band that stops the budget from flapping on a
-///   load level that hovers near one threshold).
-#[derive(Clone, Debug)]
-pub struct CoreBudgetPolicy {
-    /// Physical core allowance being split (defaults to
-    /// [`crate::runtime::default_core_allowance`]).
-    pub cores: usize,
-    /// Re-planning cadence — deliberately slow next to the decode rate, so
-    /// plans settle between changes.
-    pub period: Duration,
-    /// EWMA load (queued items per worker) at or below which the
-    /// controller plans for latency.
-    pub low_watermark: f64,
-    /// EWMA load at or above which the controller plans for throughput.
-    pub high_watermark: f64,
-    /// EWMA smoothing factor for the observed backlog.
-    pub alpha: f64,
-}
-
-impl Default for CoreBudgetPolicy {
-    fn default() -> Self {
-        CoreBudgetPolicy {
-            cores: crate::runtime::default_core_allowance(),
-            period: Duration::from_millis(100),
-            low_watermark: 0.5,
-            high_watermark: 2.0,
-            alpha: 0.3,
-        }
-    }
-}
 
 /// 4 dB-wide SNR buckets covering 0–28 dB (clamped outside).
 const N_SNR_BUCKETS: usize = 8;

@@ -1,17 +1,30 @@
 //! Export surfaces for [`MetricsSnapshot`]: Prometheus text exposition
-//! and JSON lines.
+//! and JSON lines, both rendered from one descriptor table.
+//!
+//! Every exported metric is defined exactly once, as a [`Metric`] row of
+//! [`SCALAR_METRICS`] (runtime-wide), [`SHARD_METRICS`] (one sample per
+//! shard) or [`TIER_METRICS`] (one sample per ladder tier). A row holds
+//! the metric's name, its help text and its [`Kind`] — counter, gauge or
+//! quantile summary — with the getter that reads it from the snapshot.
+//! [`prometheus_text`] and [`json_line`] are loops over these tables with
+//! no code for any single metric, so the two formats carry the same
+//! metrics under the same names by construction:
+//!
+//! * Prometheus: family `sd_serve_{name}` (`sd_serve_shard_{name}` with a
+//!   `shard` label, `sd_serve_tier_{name}` with a `tier` label), counters
+//!   with the conventional `_total` suffix, summary samples with a
+//!   `quantile` label;
+//! * JSON: key `{name}`, summary quantiles as `p50_{name}` /
+//!   `p99_{name}`, shard rows as objects of a `shards` array, tier rows as
+//!   objects of a `tiers` array that also carry the tier's `label`.
 //!
 //! Both renderers are dependency-free string builders (the workspace
-//! carries no JSON library), covering the full snapshot: admission and
-//! serve counters, deadline accounting, batch shape, latency / queue-wait
-//! quantiles, per-tier serve counts with the cost-model
-//! `|predicted − actual|` error quantiles, and the aggregated decoder
-//! stats. [`validate_json`] is a minimal recursive-descent JSON checker
-//! used by the demo's smoke mode (and tests) to prove the emitted line
-//! actually parses.
+//! carries no JSON library). [`validate_json`] is a minimal
+//! recursive-descent JSON checker used by the demo's smoke mode (and
+//! tests) to prove the emitted line actually parses.
 
-use crate::metrics::MetricsSnapshot;
-use std::fmt::Write as _;
+use crate::metrics::{MetricsSnapshot, ShardSnapshot, TierSnapshot};
+use std::fmt::{self, Write as _};
 
 /// Rendering used by the export helpers and the periodic reporter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,14 +43,296 @@ pub fn render(snap: &MetricsSnapshot, format: ExportFormat) -> String {
     }
 }
 
-/// JSON numbers must be finite; NaN/∞ degrade to 0.
-fn json_f64(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
+/// How a [`Metric`] is typed, and the getter that reads it from its
+/// snapshot `S`.
+pub enum Kind<S: 'static> {
+    /// A monotone count.
+    Counter(fn(&S) -> u64),
+    /// A point-in-time value.
+    Gauge(fn(&S) -> f64),
+    /// Quantiles of a distribution, one sample each.
+    Summary(&'static [Quantile<S>]),
+}
+
+impl<S> Kind<S> {
+    /// The Prometheus `# TYPE` of this kind.
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            Kind::Counter(_) => "counter",
+            Kind::Gauge(_) => "gauge",
+            Kind::Summary(_) => "summary",
+        }
     }
 }
+
+/// One quantile of a [`Kind::Summary`].
+pub struct Quantile<S: 'static> {
+    /// Value of the Prometheus `quantile` label (`"0.99"`).
+    pub label: &'static str,
+    /// JSON key prefix (`"p99"` renders the key `p99_{name}`).
+    pub key: &'static str,
+    /// Reads the quantile from the snapshot.
+    pub get: fn(&S) -> f64,
+}
+
+/// One exported metric — the one definition both renderers read.
+pub struct Metric<S: 'static> {
+    /// JSON key, and the stem of the Prometheus family name.
+    pub name: &'static str,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Type and getter.
+    pub kind: Kind<S>,
+}
+
+impl<S> Metric<S> {
+    /// The JSON key of one sample (`quantile` is `None` for counters and
+    /// gauges).
+    fn json_key(&self, quantile: Option<&Quantile<S>>) -> String {
+        match quantile {
+            Some(q) => format!("{}_{}", q.key, self.name),
+            None => self.name.to_string(),
+        }
+    }
+
+    /// Every JSON key this row renders, in order.
+    pub fn json_keys(&self) -> Vec<String> {
+        match &self.kind {
+            Kind::Summary(qs) => qs.iter().map(|q| self.json_key(Some(q))).collect(),
+            _ => vec![self.json_key(None)],
+        }
+    }
+
+    /// Call `emit` once per sample of this row on `s`.
+    fn samples(&self, s: &S, mut emit: impl FnMut(Option<&Quantile<S>>, Value)) {
+        match &self.kind {
+            Kind::Counter(get) => emit(None, Value::Count(get(s))),
+            Kind::Gauge(get) => emit(None, Value::Real(get(s))),
+            Kind::Summary(qs) => {
+                for q in *qs {
+                    emit(Some(q), Value::Real((q.get)(s)));
+                }
+            }
+        }
+    }
+}
+
+/// A descriptor table: the rows of one label scope.
+pub struct Table<S: 'static> {
+    /// Family-name scope after `sd_serve_` (`""`, `"shard_"`, `"tier_"`).
+    pub scope: &'static str,
+    /// The metrics, in export order.
+    pub rows: &'static [Metric<S>],
+}
+
+impl<S> Table<S> {
+    /// The Prometheus family name of `row`.
+    pub fn family(&self, row: &Metric<S>) -> String {
+        let total = if matches!(row.kind, Kind::Counter(_)) {
+            "_total"
+        } else {
+            ""
+        };
+        format!("sd_serve_{}{}{total}", self.scope, row.name)
+    }
+
+    /// Append every row as one Prometheus family, with one sample per
+    /// item (and per quantile). Each item carries its label set
+    /// (`shard="0"`; empty for runtime-wide rows).
+    fn prometheus(&self, o: &mut String, items: &[(String, &S)]) {
+        for row in self.rows {
+            let family = self.family(row);
+            let _ = writeln!(o, "# HELP {family} {}", row.help);
+            let _ = writeln!(o, "# TYPE {family} {}", row.kind.type_name());
+            for (labels, s) in items {
+                row.samples(s, |q, v| {
+                    let mut set = labels.clone();
+                    if let Some(q) = q {
+                        if !set.is_empty() {
+                            set.push(',');
+                        }
+                        let _ = write!(set, "quantile=\"{}\"", q.label);
+                    }
+                    let _ = if set.is_empty() {
+                        writeln!(o, "{family} {v}")
+                    } else {
+                        writeln!(o, "{family}{{{set}}} {v}")
+                    };
+                });
+            }
+        }
+    }
+
+    /// Append every row of `s` as `"key":value,` JSON members.
+    fn json_members(&self, o: &mut String, s: &S) {
+        for row in self.rows {
+            row.samples(s, |q, v| {
+                let _ = write!(o, "\"{}\":{v},", row.json_key(q));
+            });
+        }
+    }
+
+    /// Append `"key":[{..},..],` — one object per item, each opened by
+    /// `head` (extra leading members such as a tier's label).
+    fn json_array<'a>(
+        &self,
+        o: &mut String,
+        key: &str,
+        items: impl IntoIterator<Item = (String, &'a S)>,
+    ) where
+        S: 'a,
+    {
+        let _ = write!(o, "\"{key}\":[");
+        for (head, s) in items {
+            o.push('{');
+            o.push_str(&head);
+            self.json_members(o, s);
+            close(o, '}');
+            o.push(',');
+        }
+        close(o, ']');
+        o.push(',');
+    }
+}
+
+/// Replace a trailing member separator with the closing bracket `c`.
+fn close(o: &mut String, c: char) {
+    if o.ends_with(',') {
+        o.pop();
+    }
+    o.push(c);
+}
+
+/// One sample value. JSON numbers must be finite, so a non-finite
+/// real renders as 0 (in both formats).
+enum Value {
+    Count(u64),
+    Real(f64),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Count(v) => write!(f, "{v}"),
+            Value::Real(v) => write!(f, "{}", if v.is_finite() { v } else { 0.0 }),
+        }
+    }
+}
+
+const fn p50<S>(get: fn(&S) -> f64) -> Quantile<S> {
+    Quantile {
+        label: "0.5",
+        key: "p50",
+        get,
+    }
+}
+
+const fn p99<S>(get: fn(&S) -> f64) -> Quantile<S> {
+    Quantile {
+        label: "0.99",
+        key: "p99",
+        get,
+    }
+}
+
+const fn counter<S>(name: &'static str, help: &'static str, get: fn(&S) -> u64) -> Metric<S> {
+    Metric {
+        name,
+        help,
+        kind: Kind::Counter(get),
+    }
+}
+
+const fn gauge<S>(name: &'static str, help: &'static str, get: fn(&S) -> f64) -> Metric<S> {
+    Metric {
+        name,
+        help,
+        kind: Kind::Gauge(get),
+    }
+}
+
+const fn summary<S>(
+    name: &'static str,
+    help: &'static str,
+    quantiles: &'static [Quantile<S>],
+) -> Metric<S> {
+    Metric {
+        name,
+        help,
+        kind: Kind::Summary(quantiles),
+    }
+}
+
+/// Runtime-wide metrics.
+#[rustfmt::skip]
+pub static SCALAR_METRICS: Table<MetricsSnapshot> = Table {
+    scope: "",
+    rows: &[
+        counter("accepted", "Requests admitted into the ingress queue.", |s| s.accepted),
+        counter("rejected_full", "Requests shed at admission (queue full).", |s| s.rejected_full),
+        counter("rejected_shutdown", "Requests refused during shutdown.", |s| s.rejected_shutdown),
+        counter("rejected_predicted_late", "Requests shed by predictive admission (predicted wait exceeded the deadline).", |s| s.rejected_predicted),
+        counter("served", "Responses produced.", |s| s.served),
+        counter("deadline_missed", "Responses that exceeded their deadline.", |s| s.deadline_missed),
+        gauge("deadline_miss_rate", "deadline_missed / served.", |s| s.deadline_miss_rate),
+        counter("quality_exact", "Responses whose search ran to completion (exact quality).", |s| s.quality_exact),
+        counter("budget_exhausted", "Responses truncated by their decode budget (anytime best-so-far).", |s| s.budget_exhausted),
+        counter("prep_cache_hits", "Requests whose preparation reused a cached channel factorization.", |s| s.prep_cache_hits),
+        counter("prep_cache_misses", "Requests whose preparation factored and cached their channel.", |s| s.prep_cache_misses),
+        counter("prep_cache_bypass", "Requests prepared outside the channel cache.", |s| s.prep_cache_bypass),
+        counter("batches", "Batches drained from the ingress queue.", |s| s.batches),
+        gauge("mean_batch_size", "Mean requests per batch.", |s| s.mean_batch_size),
+        counter("frames_accepted", "Frame (coherence-block) requests admitted.", |s| s.frames_accepted),
+        counter("frames_rejected_full", "Frame requests shed at admission (queue full).", |s| s.frames_rejected_full),
+        counter("frames_rejected_shutdown", "Frame requests refused during shutdown.", |s| s.frames_rejected_shutdown),
+        counter("frames_rejected_predicted_late", "Frame requests shed by predictive admission.", |s| s.frames_rejected_predicted),
+        counter("frames_served", "Frame responses produced.", |s| s.frames_served),
+        counter("frames_fused", "Frames decoded by the cross-subcarrier fused block path.", |s| s.frames_fused),
+        counter("frames_deadline_missed", "Frames that exceeded their deadline.", |s| s.frames_deadline_missed),
+        counter("frame_subcarriers", "Subcarriers decoded through the frame path.", |s| s.frame_subcarriers),
+        counter("frame_prep_factors", "Channel preparations performed by the frame path.", |s| s.frame_prep_factors),
+        gauge("mean_frame_size", "Mean subcarriers per served frame.", |s| s.mean_frame_size),
+        gauge("prep_amortization", "Subcarriers served per channel preparation on the frame path.", |s| s.prep_amortization),
+        summary("frame_latency_us", "Frame end-to-end latency quantiles (bucket upper bound).", &[p99(|s| s.p99_frame_latency_us)]),
+        gauge("queue_depth", "Ingress backlog at snapshot time.", |s| s.queue_depth as f64),
+        summary("latency_us", "End-to-end latency quantiles (bucket upper bound).", &[p50(|s| s.p50_latency_us), p99(|s| s.p99_latency_us)]),
+        summary("queue_wait_us", "Queue-wait quantiles (bucket upper bound).", &[p99(|s| s.p99_queue_wait_us)]),
+        counter("nodes_generated", "Search-tree nodes generated across all served decodes.", |s| s.nodes_generated),
+        counter("leaves_reached", "Search-tree leaves reached across all served decodes.", |s| s.leaves_reached),
+        gauge("host_cores", "Logical cores the host reported at startup.", |s| s.host_cores as f64),
+        gauge("n_shards", "Number of runtime shards.", |s| s.n_shards as f64),
+    ],
+};
+
+/// Per-shard metrics: Prometheus label `shard` (the shard index), JSON
+/// array `shards` (in shard order). One scrape shows where affinity
+/// routing concentrated the traffic and how much of it moved by stealing.
+#[rustfmt::skip]
+pub static SHARD_METRICS: Table<ShardSnapshot> = Table {
+    scope: "shard_",
+    rows: &[
+        counter("routed", "Items admission routed to this shard.", |s| s.routed),
+        counter("served", "Items served by this shard's workers.", |s| s.served),
+        counter("affinity_served", "Items served from this shard's own affinity-routed queue.", |s| s.affinity_served),
+        counter("stolen_in", "Items this shard's workers stole from other shards.", |s| s.stolen_in),
+        counter("stolen_out", "Items other shards stole from this queue.", |s| s.stolen_out),
+        counter("prep_hits", "Prep-cache hits on this shard.", |s| s.prep_hits),
+        counter("prep_misses", "Prep-cache misses on this shard.", |s| s.prep_misses),
+        counter("prep_bypass", "Prep-cache bypasses on this shard.", |s| s.prep_bypass),
+        gauge("queue_depth", "This shard queue's backlog at snapshot time.", |s| s.queue_depth as f64),
+    ],
+};
+
+/// Per-tier metrics: Prometheus label `tier` (the registry label), JSON
+/// array `tiers` (in ladder order, each object led by its `label`).
+#[rustfmt::skip]
+pub static TIER_METRICS: Table<TierSnapshot> = Table {
+    scope: "tier_",
+    rows: &[
+        counter("served", "Responses served per ladder tier.", |t| t.served),
+        summary("predict_err_us", "Cost-model |predicted-actual| decode time per tier.", &[p50(|t| t.p50_predict_err_us), p99(|t| t.p99_predict_err_us)]),
+    ],
+};
 
 /// Escape a string for a JSON string literal or a Prometheus label value.
 fn escape(s: &str) -> String {
@@ -58,410 +353,47 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Render a snapshot in the Prometheus text exposition format.
-///
-/// Counter samples carry the conventional `_total` suffix; quantile
-/// summaries use a `quantile` label; per-tier samples a `tier` label.
+/// Render a snapshot in the Prometheus text exposition format: every row
+/// of the three descriptor tables as one family.
 pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut o = String::with_capacity(2048);
-    let mut counter = |name: &str, help: &str, v: u64| {
-        let _ = writeln!(o, "# HELP {name} {help}");
-        let _ = writeln!(o, "# TYPE {name} counter");
-        let _ = writeln!(o, "{name} {v}");
-    };
-    counter(
-        "sd_serve_accepted_total",
-        "Requests admitted into the ingress queue.",
-        snap.accepted,
-    );
-    counter(
-        "sd_serve_rejected_full_total",
-        "Requests shed at admission (queue full).",
-        snap.rejected_full,
-    );
-    counter(
-        "sd_serve_rejected_shutdown_total",
-        "Requests refused during shutdown.",
-        snap.rejected_shutdown,
-    );
-    counter(
-        "sd_serve_rejected_predicted_late_total",
-        "Requests shed by predictive admission (predicted wait exceeded the deadline).",
-        snap.rejected_predicted,
-    );
-    counter("sd_serve_served_total", "Responses produced.", snap.served);
-    counter(
-        "sd_serve_deadline_missed_total",
-        "Responses that exceeded their deadline.",
-        snap.deadline_missed,
-    );
-    counter(
-        "sd_serve_quality_exact_total",
-        "Responses whose search ran to completion (exact quality).",
-        snap.quality_exact,
-    );
-    counter(
-        "sd_serve_budget_exhausted_total",
-        "Responses truncated by their decode budget (anytime best-so-far).",
-        snap.budget_exhausted,
-    );
-    counter(
-        "sd_serve_prep_cache_hits_total",
-        "Requests whose preparation reused a cached channel factorization.",
-        snap.prep_cache_hits,
-    );
-    counter(
-        "sd_serve_prep_cache_misses_total",
-        "Requests whose preparation factored and cached their channel.",
-        snap.prep_cache_misses,
-    );
-    counter(
-        "sd_serve_prep_cache_bypass_total",
-        "Requests prepared outside the channel cache.",
-        snap.prep_cache_bypass,
-    );
-    counter(
-        "sd_serve_batches_total",
-        "Batches drained from the ingress queue.",
-        snap.batches,
-    );
-    counter(
-        "sd_serve_frames_accepted_total",
-        "Frame (coherence-block) requests admitted.",
-        snap.frames_accepted,
-    );
-    counter(
-        "sd_serve_frames_rejected_full_total",
-        "Frame requests shed at admission (queue full).",
-        snap.frames_rejected_full,
-    );
-    counter(
-        "sd_serve_frames_rejected_shutdown_total",
-        "Frame requests refused during shutdown.",
-        snap.frames_rejected_shutdown,
-    );
-    counter(
-        "sd_serve_frames_rejected_predicted_late_total",
-        "Frame requests shed by predictive admission.",
-        snap.frames_rejected_predicted,
-    );
-    counter(
-        "sd_serve_frames_served_total",
-        "Frame responses produced.",
-        snap.frames_served,
-    );
-    counter(
-        "sd_serve_frames_fused_total",
-        "Frames decoded by the cross-subcarrier fused block path.",
-        snap.frames_fused,
-    );
-    counter(
-        "sd_serve_frames_deadline_missed_total",
-        "Frames that exceeded their deadline.",
-        snap.frames_deadline_missed,
-    );
-    counter(
-        "sd_serve_frame_subcarriers_total",
-        "Subcarriers decoded through the frame path.",
-        snap.frame_subcarriers,
-    );
-    counter(
-        "sd_serve_frame_prep_factors_total",
-        "Channel preparations performed by the frame path.",
-        snap.frame_prep_factors,
-    );
-    counter(
-        "sd_serve_nodes_generated_total",
-        "Search-tree nodes generated across all served decodes.",
-        snap.stats.nodes_generated,
-    );
-    counter(
-        "sd_serve_budget_replans_total",
-        "Core-budget plan changes by the adaptive controller.",
-        snap.budget_replans,
-    );
-
-    let mut gauge = |name: &str, help: &str, v: f64| {
-        let _ = writeln!(o, "# HELP {name} {help}");
-        let _ = writeln!(o, "# TYPE {name} gauge");
-        let _ = writeln!(o, "{name} {}", json_f64(v));
-    };
-    gauge(
-        "sd_serve_deadline_miss_rate",
-        "deadline_missed / served.",
-        snap.deadline_miss_rate,
-    );
-    gauge(
-        "sd_serve_mean_batch_size",
-        "Mean requests per batch.",
-        snap.mean_batch_size,
-    );
-    gauge(
-        "sd_serve_queue_depth",
-        "Ingress backlog at snapshot time.",
-        snap.queue_depth as f64,
-    );
-    gauge(
-        "sd_serve_mean_frame_size",
-        "Mean subcarriers per served frame.",
-        snap.mean_frame_size,
-    );
-    gauge(
-        "sd_serve_prep_amortization",
-        "Subcarriers served per channel preparation on the frame path.",
-        snap.prep_amortization,
-    );
-    gauge(
-        "sd_serve_host_cores",
-        "Logical cores the host reported at startup.",
-        snap.host_cores as f64,
-    );
-    gauge(
-        "sd_serve_n_shards",
-        "Number of runtime shards.",
-        snap.n_shards as f64,
-    );
-    gauge(
-        "sd_serve_core_budget",
-        "Subtree-decoder lane allowance planned by the controller.",
-        snap.core_budget as f64,
-    );
-
-    // Per-shard rows: the shard index is the label, so one scrape shows
-    // where affinity routing concentrated the traffic and how much of it
-    // moved by stealing.
-    let shard_counter = |o: &mut String, name: &str, help: &str, pick: &dyn Fn(usize) -> u64| {
-        let _ = writeln!(o, "# HELP {name} {help}");
-        let _ = writeln!(o, "# TYPE {name} counter");
-        for i in 0..snap.shards.len() {
-            let _ = writeln!(o, "{name}{{shard=\"{i}\"}} {}", pick(i));
-        }
-    };
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_routed_total",
-        "Items admission routed to this shard.",
-        &|i| snap.shards[i].routed,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_served_total",
-        "Items served by this shard's workers.",
-        &|i| snap.shards[i].served,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_affinity_served_total",
-        "Items served from this shard's own affinity-routed queue.",
-        &|i| snap.shards[i].affinity_served,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_stolen_in_total",
-        "Items this shard's workers stole from other shards.",
-        &|i| snap.shards[i].stolen_in,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_stolen_out_total",
-        "Items other shards stole from this queue.",
-        &|i| snap.shards[i].stolen_out,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_prep_hits_total",
-        "Prep-cache hits on this shard.",
-        &|i| snap.shards[i].prep_hits,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_prep_misses_total",
-        "Prep-cache misses on this shard.",
-        &|i| snap.shards[i].prep_misses,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_prep_bypass_total",
-        "Prep-cache bypasses on this shard.",
-        &|i| snap.shards[i].prep_bypass,
-    );
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_shard_queue_depth This shard queue's backlog at snapshot time."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_shard_queue_depth gauge");
-    for (i, s) in snap.shards.iter().enumerate() {
-        let _ = writeln!(
-            o,
-            "sd_serve_shard_queue_depth{{shard=\"{i}\"}} {}",
-            s.queue_depth
-        );
-    }
-
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_latency_us End-to-end latency quantiles (bucket upper bound)."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_latency_us summary");
-    let _ = writeln!(
-        o,
-        "sd_serve_latency_us{{quantile=\"0.5\"}} {}",
-        json_f64(snap.p50_latency_us)
-    );
-    let _ = writeln!(
-        o,
-        "sd_serve_latency_us{{quantile=\"0.99\"}} {}",
-        json_f64(snap.p99_latency_us)
-    );
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_frame_latency_us Frame end-to-end latency quantiles (bucket upper bound)."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_frame_latency_us summary");
-    let _ = writeln!(
-        o,
-        "sd_serve_frame_latency_us{{quantile=\"0.99\"}} {}",
-        json_f64(snap.p99_frame_latency_us)
-    );
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_queue_wait_us Queue-wait quantiles (bucket upper bound)."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_queue_wait_us summary");
-    let _ = writeln!(
-        o,
-        "sd_serve_queue_wait_us{{quantile=\"0.99\"}} {}",
-        json_f64(snap.p99_queue_wait_us)
-    );
-
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_tier_served_total Responses served per ladder tier."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_tier_served_total counter");
-    for t in &snap.tiers {
-        let _ = writeln!(
-            o,
-            "sd_serve_tier_served_total{{tier=\"{}\"}} {}",
-            escape(&t.label),
-            t.served
-        );
-    }
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_tier_predict_err_us Cost-model |predicted-actual| decode time per tier."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_tier_predict_err_us summary");
-    for t in &snap.tiers {
-        let _ = writeln!(
-            o,
-            "sd_serve_tier_predict_err_us{{tier=\"{}\",quantile=\"0.5\"}} {}",
-            escape(&t.label),
-            json_f64(t.p50_predict_err_us)
-        );
-        let _ = writeln!(
-            o,
-            "sd_serve_tier_predict_err_us{{tier=\"{}\",quantile=\"0.99\"}} {}",
-            escape(&t.label),
-            json_f64(t.p99_predict_err_us)
-        );
-    }
+    let mut o = String::with_capacity(8192);
+    SCALAR_METRICS.prometheus(&mut o, &[(String::new(), snap)]);
+    let shards: Vec<_> = snap
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("shard=\"{i}\""), s))
+        .collect();
+    SHARD_METRICS.prometheus(&mut o, &shards);
+    let tiers: Vec<_> = snap
+        .tiers
+        .iter()
+        .map(|t| (format!("tier=\"{}\"", escape(&t.label)), t))
+        .collect();
+    TIER_METRICS.prometheus(&mut o, &tiers);
     o
 }
 
 /// Render a snapshot as one self-contained JSON object (no trailing
-/// newline) — the JSON-lines record format.
+/// newline) — the JSON-lines record format: every runtime-wide row as a
+/// member, then the `shards` and `tiers` arrays.
 pub fn json_line(snap: &MetricsSnapshot) -> String {
-    let mut o = String::with_capacity(1024);
-    let _ = write!(
-        o,
-        "{{\"accepted\":{},\"rejected_full\":{},\"rejected_shutdown\":{},\
-         \"rejected_predicted_late\":{},\"served\":{},\
-         \"deadline_missed\":{},\"deadline_miss_rate\":{},\
-         \"quality_exact\":{},\"budget_exhausted\":{},\"prep_cache_hits\":{},\
-         \"prep_cache_misses\":{},\"prep_cache_bypass\":{},\"batches\":{},\
-         \"mean_batch_size\":{},\"frames_accepted\":{},\"frames_rejected_full\":{},\
-         \"frames_rejected_shutdown\":{},\"frames_rejected_predicted_late\":{},\
-         \"frames_served\":{},\"frames_fused\":{},\
-         \"frames_deadline_missed\":{},\"frame_subcarriers\":{},\
-         \"frame_prep_factors\":{},\"mean_frame_size\":{},\"prep_amortization\":{},\
-         \"p99_frame_latency_us\":{},\"queue_depth\":{},\"p50_latency_us\":{},\
-         \"p99_latency_us\":{},\"p99_queue_wait_us\":{},\"nodes_generated\":{},\
-         \"leaves_reached\":{},\"host_cores\":{},\"n_shards\":{},\"core_budget\":{},\
-         \"budget_replans\":{},\"shards\":[",
-        snap.accepted,
-        snap.rejected_full,
-        snap.rejected_shutdown,
-        snap.rejected_predicted,
-        snap.served,
-        snap.deadline_missed,
-        json_f64(snap.deadline_miss_rate),
-        snap.quality_exact,
-        snap.budget_exhausted,
-        snap.prep_cache_hits,
-        snap.prep_cache_misses,
-        snap.prep_cache_bypass,
-        snap.batches,
-        json_f64(snap.mean_batch_size),
-        snap.frames_accepted,
-        snap.frames_rejected_full,
-        snap.frames_rejected_shutdown,
-        snap.frames_rejected_predicted,
-        snap.frames_served,
-        snap.frames_fused,
-        snap.frames_deadline_missed,
-        snap.frame_subcarriers,
-        snap.frame_prep_factors,
-        json_f64(snap.mean_frame_size),
-        json_f64(snap.prep_amortization),
-        json_f64(snap.p99_frame_latency_us),
-        snap.queue_depth,
-        json_f64(snap.p50_latency_us),
-        json_f64(snap.p99_latency_us),
-        json_f64(snap.p99_queue_wait_us),
-        snap.stats.nodes_generated,
-        snap.stats.leaves_reached,
-        snap.host_cores,
-        snap.n_shards,
-        snap.core_budget,
-        snap.budget_replans,
+    let mut o = String::with_capacity(2048);
+    o.push('{');
+    SCALAR_METRICS.json_members(&mut o, snap);
+    SHARD_METRICS.json_array(
+        &mut o,
+        "shards",
+        snap.shards.iter().map(|s| (String::new(), s)),
     );
-    for (i, s) in snap.shards.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"routed\":{},\"served\":{},\"affinity_served\":{},\"stolen_in\":{},\
-             \"stolen_out\":{},\"prep_hits\":{},\"prep_misses\":{},\"prep_bypass\":{},\
-             \"queue_depth\":{}}}",
-            s.routed,
-            s.served,
-            s.affinity_served,
-            s.stolen_in,
-            s.stolen_out,
-            s.prep_hits,
-            s.prep_misses,
-            s.prep_bypass,
-            s.queue_depth,
-        );
-    }
-    o.push_str("],\"tiers\":[");
-    for (i, t) in snap.tiers.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"label\":\"{}\",\"served\":{},\"p50_predict_err_us\":{},\
-             \"p99_predict_err_us\":{}}}",
-            escape(&t.label),
-            t.served,
-            json_f64(t.p50_predict_err_us),
-            json_f64(t.p99_predict_err_us),
-        );
-    }
-    o.push_str("]}");
+    TIER_METRICS.json_array(
+        &mut o,
+        "tiers",
+        snap.tiers
+            .iter()
+            .map(|t| (format!("\"label\":\"{}\",", escape(&t.label)), t)),
+    );
+    close(&mut o, '}');
     o
 }
 
@@ -654,115 +586,278 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Metrics, TierSnapshot};
+    use crate::metrics::Metrics;
+    use std::collections::BTreeSet;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
+    /// A snapshot with a distinct nonzero value in most fields, so a
+    /// getter reading the wrong field shows up as a wrong value.
     fn sample_snapshot() -> MetricsSnapshot {
         let m = Metrics::new(vec![Arc::from("exact"), Arc::from("mmse")], 2, 4);
-        m.shards[0].routed.store(6, Ordering::Relaxed);
-        m.shards[0].served.store(5, Ordering::Relaxed);
-        m.shards[0].affinity_served.store(4, Ordering::Relaxed);
-        m.shards[0].stolen_out.store(1, Ordering::Relaxed);
-        m.shards[1].routed.store(4, Ordering::Relaxed);
-        m.shards[1].served.store(4, Ordering::Relaxed);
-        m.shards[1].stolen_in.store(1, Ordering::Relaxed);
-        m.core_budget.store(4, Ordering::Relaxed);
-        m.budget_replans.store(3, Ordering::Relaxed);
-        m.accepted.store(10, Ordering::Relaxed);
-        m.served.store(9, Ordering::Relaxed);
-        m.deadline_missed.store(1, Ordering::Relaxed);
-        m.quality_exact.store(8, Ordering::Relaxed);
-        m.budget_exhausted.store(1, Ordering::Relaxed);
-        m.batches.store(3, Ordering::Relaxed);
-        m.batch_items.store(9, Ordering::Relaxed);
+        let set = |c: &std::sync::atomic::AtomicU64, v: u64| c.store(v, Ordering::Relaxed);
+        let (s0, s1) = (&m.shards[0], &m.shards[1]);
+        set(&s0.routed, 6);
+        set(&s0.served, 5);
+        set(&s0.affinity_served, 4);
+        set(&s0.stolen_out, 1);
+        set(&s0.prep_hits, 3);
+        set(&s0.prep_misses, 2);
+        set(&s0.prep_bypass, 1);
+        set(&s1.routed, 4);
+        set(&s1.served, 4);
+        set(&s1.affinity_served, 3);
+        set(&s1.stolen_in, 1);
+        set(&s1.prep_hits, 2);
+        set(&s1.prep_misses, 1);
+        set(&m.accepted, 10);
+        set(&m.rejected_full, 3);
+        set(&m.rejected_shutdown, 2);
+        set(&m.rejected_predicted, 4);
+        set(&m.served, 9);
+        set(&m.deadline_missed, 1);
+        set(&m.quality_exact, 8);
+        set(&m.budget_exhausted, 1);
+        set(&m.nodes_generated, 4321);
+        set(&m.leaves_reached, 123);
+        set(&m.batches, 3);
+        set(&m.batch_items, 9);
+        set(&m.frames_accepted, 2);
+        set(&m.frames_rejected_full, 5);
+        set(&m.frames_rejected_shutdown, 6);
+        set(&m.frames_rejected_predicted, 7);
+        set(&m.frames_served, 2);
+        set(&m.frames_fused, 1);
+        set(&m.frames_deadline_missed, 1);
+        set(&m.frame_subcarriers, 32);
+        set(&m.frame_prep_factors, 2);
         m.latency_ns.record(150_000);
-        m.prep_cache_hits.store(5, Ordering::Relaxed);
-        m.prep_cache_misses.store(3, Ordering::Relaxed);
-        m.prep_cache_bypass.store(1, Ordering::Relaxed);
-        m.frames_accepted.store(2, Ordering::Relaxed);
-        m.frames_served.store(2, Ordering::Relaxed);
-        m.frames_fused.store(1, Ordering::Relaxed);
-        m.frame_subcarriers.store(32, Ordering::Relaxed);
-        m.frame_prep_factors.store(2, Ordering::Relaxed);
+        m.queue_wait_ns.record(20_000);
         m.frame_latency_ns.record(500_000);
         m.tiers[0].served.fetch_add(7, Ordering::Relaxed);
         m.tiers[0].predict_err_ns.record(40_000);
         m.tiers[1].served.fetch_add(2, Ordering::Relaxed);
+        m.tiers[1].predict_err_ns.record(3_000);
         m.snapshot(&[2, 0])
     }
 
-    #[test]
-    fn prometheus_text_contains_all_families() {
-        let text = prometheus_text(&sample_snapshot());
-        for needle in [
-            "sd_serve_served_total 9",
-            "sd_serve_accepted_total 10",
-            "sd_serve_deadline_missed_total 1",
-            "sd_serve_quality_exact_total 8",
-            "sd_serve_budget_exhausted_total 1",
-            "sd_serve_queue_depth 2",
-            "sd_serve_prep_cache_hits_total 5",
-            "sd_serve_prep_cache_misses_total 3",
-            "sd_serve_prep_cache_bypass_total 1",
-            "sd_serve_frames_accepted_total 2",
-            "sd_serve_frames_served_total 2",
-            "sd_serve_frames_fused_total 1",
-            "sd_serve_frame_subcarriers_total 32",
-            "sd_serve_frame_prep_factors_total 2",
-            "sd_serve_prep_amortization 16",
-            "sd_serve_mean_frame_size 16",
-            "sd_serve_frame_latency_us{quantile=\"0.99\"}",
-            "sd_serve_tier_served_total{tier=\"exact\"} 7",
-            "sd_serve_tier_served_total{tier=\"mmse\"} 2",
-            "sd_serve_tier_predict_err_us{tier=\"exact\",quantile=\"0.5\"}",
-            "sd_serve_latency_us{quantile=\"0.99\"}",
-            "# TYPE sd_serve_served_total counter",
-            "# TYPE sd_serve_deadline_miss_rate gauge",
-            "sd_serve_host_cores 4",
-            "sd_serve_n_shards 2",
-            "sd_serve_core_budget 4",
-            "sd_serve_budget_replans_total 3",
-            "sd_serve_shard_routed_total{shard=\"0\"} 6",
-            "sd_serve_shard_routed_total{shard=\"1\"} 4",
-            "sd_serve_shard_served_total{shard=\"0\"} 5",
-            "sd_serve_shard_affinity_served_total{shard=\"0\"} 4",
-            "sd_serve_shard_stolen_in_total{shard=\"1\"} 1",
-            "sd_serve_shard_stolen_out_total{shard=\"0\"} 1",
-            "sd_serve_shard_queue_depth{shard=\"0\"} 2",
-            "sd_serve_shard_queue_depth{shard=\"1\"} 0",
-            "# TYPE sd_serve_shard_routed_total counter",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
+    /// Prometheus sample lines (`# HELP` / `# TYPE` excluded).
+    fn prom_samples(text: &str) -> Vec<&str> {
+        text.lines().filter(|l| !l.starts_with('#')).collect()
     }
 
+    /// Flatten a JSON line into `path=raw value` pairs
+    /// (`shards[0].routed=6`, `tiers[1].label="mmse"`). Assumes a valid
+    /// line (check with [`validate_json`] first) without whitespace.
+    fn json_pairs(line: &str) -> Vec<String> {
+        fn string_end(b: &[u8], mut i: usize) -> usize {
+            i += 1; // opening quote
+            while b[i] != b'"' {
+                i += if b[i] == b'\\' { 2 } else { 1 };
+            }
+            i + 1
+        }
+        fn value(s: &str, i: &mut usize, path: &str, out: &mut Vec<String>) {
+            let b = s.as_bytes();
+            match b[*i] {
+                b'{' => {
+                    *i += 1;
+                    while b[*i] != b'}' {
+                        let end = string_end(b, *i);
+                        let key = &s[*i + 1..end - 1];
+                        *i = end + 1; // past ':'
+                        let path = if path.is_empty() {
+                            key.to_string()
+                        } else {
+                            format!("{path}.{key}")
+                        };
+                        value(s, i, &path, out);
+                        if b[*i] == b',' {
+                            *i += 1;
+                        }
+                    }
+                    *i += 1;
+                }
+                b'[' => {
+                    *i += 1;
+                    let mut n = 0;
+                    while b[*i] != b']' {
+                        value(s, i, &format!("{path}[{n}]"), out);
+                        n += 1;
+                        if b[*i] == b',' {
+                            *i += 1;
+                        }
+                    }
+                    *i += 1;
+                }
+                b'"' => {
+                    let end = string_end(b, *i);
+                    out.push(format!("{path}={}", &s[*i..end]));
+                    *i = end;
+                }
+                _ => {
+                    let start = *i;
+                    while !matches!(b[*i], b',' | b'}' | b']') {
+                        *i += 1;
+                    }
+                    out.push(format!("{path}={}", &s[start..*i]));
+                }
+            }
+        }
+        let mut out = Vec::new();
+        value(line, &mut 0, "", &mut out);
+        out
+    }
+
+    /// Every Prometheus sample the renderer emitted for
+    /// [`sample_snapshot`] before the exports were table-driven, minus
+    /// the deleted core-budget controller's `sd_serve_core_budget` and
+    /// `sd_serve_budget_replans_total`, plus the `leaves_reached` family
+    /// the JSON line always carried. Sorted.
+    const PINNED_PROMETHEUS: &str = r#"
+sd_serve_accepted_total 10
+sd_serve_batches_total 3
+sd_serve_budget_exhausted_total 1
+sd_serve_deadline_miss_rate 0.1111111111111111
+sd_serve_deadline_missed_total 1
+sd_serve_frame_latency_us{quantile="0.99"} 524.287
+sd_serve_frame_prep_factors_total 2
+sd_serve_frame_subcarriers_total 32
+sd_serve_frames_accepted_total 2
+sd_serve_frames_deadline_missed_total 1
+sd_serve_frames_fused_total 1
+sd_serve_frames_rejected_full_total 5
+sd_serve_frames_rejected_predicted_late_total 7
+sd_serve_frames_rejected_shutdown_total 6
+sd_serve_frames_served_total 2
+sd_serve_host_cores 4
+sd_serve_latency_us{quantile="0.5"} 262.143
+sd_serve_latency_us{quantile="0.99"} 262.143
+sd_serve_leaves_reached_total 123
+sd_serve_mean_batch_size 3
+sd_serve_mean_frame_size 16
+sd_serve_n_shards 2
+sd_serve_nodes_generated_total 4321
+sd_serve_prep_amortization 16
+sd_serve_prep_cache_bypass_total 1
+sd_serve_prep_cache_hits_total 5
+sd_serve_prep_cache_misses_total 3
+sd_serve_quality_exact_total 8
+sd_serve_queue_depth 2
+sd_serve_queue_wait_us{quantile="0.99"} 32.767
+sd_serve_rejected_full_total 3
+sd_serve_rejected_predicted_late_total 4
+sd_serve_rejected_shutdown_total 2
+sd_serve_served_total 9
+sd_serve_shard_affinity_served_total{shard="0"} 4
+sd_serve_shard_affinity_served_total{shard="1"} 3
+sd_serve_shard_prep_bypass_total{shard="0"} 1
+sd_serve_shard_prep_bypass_total{shard="1"} 0
+sd_serve_shard_prep_hits_total{shard="0"} 3
+sd_serve_shard_prep_hits_total{shard="1"} 2
+sd_serve_shard_prep_misses_total{shard="0"} 2
+sd_serve_shard_prep_misses_total{shard="1"} 1
+sd_serve_shard_queue_depth{shard="0"} 2
+sd_serve_shard_queue_depth{shard="1"} 0
+sd_serve_shard_routed_total{shard="0"} 6
+sd_serve_shard_routed_total{shard="1"} 4
+sd_serve_shard_served_total{shard="0"} 5
+sd_serve_shard_served_total{shard="1"} 4
+sd_serve_shard_stolen_in_total{shard="0"} 0
+sd_serve_shard_stolen_in_total{shard="1"} 1
+sd_serve_shard_stolen_out_total{shard="0"} 1
+sd_serve_shard_stolen_out_total{shard="1"} 0
+sd_serve_tier_predict_err_us{tier="exact",quantile="0.5"} 65.535
+sd_serve_tier_predict_err_us{tier="exact",quantile="0.99"} 65.535
+sd_serve_tier_predict_err_us{tier="mmse",quantile="0.5"} 4.095
+sd_serve_tier_predict_err_us{tier="mmse",quantile="0.99"} 4.095
+sd_serve_tier_served_total{tier="exact"} 7
+sd_serve_tier_served_total{tier="mmse"} 2
+"#;
+
+    /// The JSON line the same earlier renderer emitted, minus
+    /// `"core_budget":4,"budget_replans":3`.
+    const PINNED_JSON: &str = r#"{"accepted":10,"rejected_full":3,"rejected_shutdown":2,"rejected_predicted_late":4,"served":9,"deadline_missed":1,"deadline_miss_rate":0.1111111111111111,"quality_exact":8,"budget_exhausted":1,"prep_cache_hits":5,"prep_cache_misses":3,"prep_cache_bypass":1,"batches":3,"mean_batch_size":3,"frames_accepted":2,"frames_rejected_full":5,"frames_rejected_shutdown":6,"frames_rejected_predicted_late":7,"frames_served":2,"frames_fused":1,"frames_deadline_missed":1,"frame_subcarriers":32,"frame_prep_factors":2,"mean_frame_size":16,"prep_amortization":16,"p99_frame_latency_us":524.287,"queue_depth":2,"p50_latency_us":262.143,"p99_latency_us":262.143,"p99_queue_wait_us":32.767,"nodes_generated":4321,"leaves_reached":123,"host_cores":4,"n_shards":2,"shards":[{"routed":6,"served":5,"affinity_served":4,"stolen_in":0,"stolen_out":1,"prep_hits":3,"prep_misses":2,"prep_bypass":1,"queue_depth":2},{"routed":4,"served":4,"affinity_served":3,"stolen_in":1,"stolen_out":0,"prep_hits":2,"prep_misses":1,"prep_bypass":0,"queue_depth":0}],"tiers":[{"label":"exact","served":7,"p50_predict_err_us":65.535,"p99_predict_err_us":65.535},{"label":"mmse","served":2,"p50_predict_err_us":4.095,"p99_predict_err_us":4.095}]}"#;
+
+    /// Output preservation: the table-driven renderers reproduce the
+    /// earlier hand-written exports — every Prometheus sample with the
+    /// same name, labels and value (only the family order changed), and
+    /// the JSON line byte for byte.
     #[test]
-    fn json_line_is_valid_json_with_tiers() {
+    fn exports_reproduce_the_pinned_samples() {
         let snap = sample_snapshot();
-        let line = json_line(&snap);
-        validate_json(&line).expect("snapshot JSON must parse");
-        assert!(!line.contains('\n'), "JSON-lines records are single-line");
-        assert!(line.contains("\"served\":9"));
-        assert!(line.contains("\"quality_exact\":8"));
-        assert!(line.contains("\"budget_exhausted\":1"));
-        assert!(line.contains("\"prep_cache_hits\":5"));
-        assert!(line.contains("\"prep_cache_misses\":3"));
-        assert!(line.contains("\"prep_cache_bypass\":1"));
-        assert!(line.contains("\"frames_served\":2"));
-        assert!(line.contains("\"frames_fused\":1"));
-        assert!(line.contains("\"frame_subcarriers\":32"));
-        assert!(line.contains("\"prep_amortization\":16"));
-        assert!(line.contains("p99_frame_latency_us"));
-        assert!(line.contains("\"label\":\"exact\",\"served\":7"));
-        assert!(line.contains("p99_predict_err_us"));
-        assert!(line.contains("\"host_cores\":4"));
-        assert!(line.contains("\"n_shards\":2"));
-        assert!(line.contains("\"core_budget\":4"));
-        assert!(line.contains("\"budget_replans\":3"));
-        assert!(line.contains("\"shards\":[{\"routed\":6"));
-        assert!(line.contains("\"stolen_in\":1"));
-        assert!(line.contains("\"queue_depth\":2"));
+        let text = prometheus_text(&snap);
+        let mut samples = prom_samples(&text);
+        samples.sort_unstable();
+        let pinned: Vec<&str> = PINNED_PROMETHEUS.trim().lines().collect();
+        assert_eq!(samples, pinned, "in:\n{text}");
+        assert_eq!(json_line(&snap), PINNED_JSON);
+        validate_json(PINNED_JSON).expect("snapshot JSON must parse");
+    }
+
+    /// The two exports cannot drift: every Prometheus family has one
+    /// `# HELP` and one `# TYPE`, no sample name repeats, the JSON keys of
+    /// every object are unique, and both formats carry the same metrics.
+    #[test]
+    fn exports_carry_one_definition_per_metric() {
+        let snap = sample_snapshot();
+        let text = prometheus_text(&snap);
+        let mut help = Vec::new();
+        let mut types = Vec::new();
+        for l in text.lines() {
+            if let Some(rest) = l.strip_prefix("# HELP ") {
+                help.push(rest.split(' ').next().unwrap());
+            } else if let Some(rest) = l.strip_prefix("# TYPE ") {
+                types.push(rest.split(' ').next().unwrap());
+            }
+        }
+        let families: BTreeSet<&str> = types.iter().copied().collect();
+        assert_eq!(families.len(), types.len(), "one # TYPE per family");
+        help.sort_unstable();
+        types.sort_unstable();
+        assert_eq!(help, types, "one # HELP per family");
+        let samples = prom_samples(&text);
+        let names: BTreeSet<&str> = samples
+            .iter()
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(names.len(), samples.len(), "no sample name repeats");
+        for l in &samples {
+            let family = l.split(['{', ' ']).next().unwrap();
+            assert!(families.contains(family), "sample {l:?} has no family");
+        }
+
+        let pairs = json_pairs(&json_line(&snap));
+        let keys: BTreeSet<&str> = pairs.iter().map(|p| p.split('=').next().unwrap()).collect();
+        assert_eq!(keys.len(), pairs.len(), "JSON keys are unique per object");
+
+        // Both formats, reduced to one metric id each: the Prometheus
+        // family without its `sd_serve_` prefix and `_total` suffix, and
+        // the JSON key without its array index and quantile prefix.
+        let from_prom: BTreeSet<String> = families
+            .iter()
+            .map(|f| {
+                let f = f.strip_prefix("sd_serve_").unwrap();
+                f.strip_suffix("_total").unwrap_or(f).to_string()
+            })
+            .collect();
+        let from_json: BTreeSet<String> = keys
+            .iter()
+            .filter(|k| !k.ends_with(".label"))
+            .map(|k| {
+                let (scope, key) = match k.split_once("].") {
+                    Some((array, key)) if array.starts_with("shards[") => ("shard_", key),
+                    Some((_, key)) => ("tier_", key),
+                    None => ("", *k),
+                };
+                let key = key
+                    .strip_prefix("p50_")
+                    .or_else(|| key.strip_prefix("p99_"))
+                    .unwrap_or(key);
+                format!("{scope}{key}")
+            })
+            .collect();
+        assert_eq!(from_prom, from_json, "both exports carry the same metrics");
     }
 
     #[test]
@@ -787,6 +882,8 @@ mod tests {
         let line = json_line(&snap);
         validate_json(&line).expect("escaped label must stay parseable");
         assert!(line.contains("we\\\"ird\\\\tier"));
+        let text = prometheus_text(&snap);
+        assert!(text.contains("sd_serve_tier_served_total{tier=\"we\\\"ird\\\\tier\"} 1"));
     }
 
     #[test]
@@ -795,6 +892,22 @@ mod tests {
         snap.deadline_miss_rate = f64::NAN;
         snap.mean_batch_size = f64::INFINITY;
         validate_json(&json_line(&snap)).expect("NaN/inf must not leak into JSON");
+        let text = prometheus_text(&snap);
+        assert!(text.contains("sd_serve_deadline_miss_rate 0\n"));
+        assert!(text.contains("sd_serve_mean_batch_size 0\n"));
+    }
+
+    /// An empty runtime (no shards, no tiers) still renders every family
+    /// header and a parseable line with empty arrays.
+    #[test]
+    fn empty_scopes_render_empty_arrays() {
+        let mut snap = sample_snapshot();
+        snap.shards.clear();
+        snap.tiers.clear();
+        let line = json_line(&snap);
+        validate_json(&line).expect("empty arrays must parse");
+        assert!(line.contains("\"shards\":[],\"tiers\":[]}"));
+        assert!(prometheus_text(&snap).contains("# TYPE sd_serve_shard_routed_total counter\n"));
     }
 
     #[test]

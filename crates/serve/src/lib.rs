@@ -48,13 +48,6 @@
 //!   channel matrix (a coherence block) reuse a cached QR factorization
 //!   per shard ([`prep_cache`]); only the cheap `ȳ = Qᴴy` half runs per
 //!   request, bit-identically to the uncached path.
-//! * **Adaptive core budget** — an optional controller
-//!   ([`ServeConfig::with_core_budget`]) splits the physical core
-//!   allowance between request-level workers and the subtree-parallel
-//!   exact decoder's lanes via a shared [`sd_core::WorkerBudget`]: low
-//!   load widens the decoder (latency), sustained backlog narrows it so
-//!   cores serve independent requests (throughput), with EWMA smoothing
-//!   and watermark hysteresis so the plan never flaps.
 //! * **Frame-scale serving, one serve path** — a whole coherence block
 //!   submitted as one [`FrameRequest`] travels intact to one worker, gets
 //!   one ladder decision (cost scaled by block size), one shared channel
@@ -65,9 +58,11 @@
 //!   Vectors and frames share one admission routine and one worker
 //!   routine: a vector is a block of one, and so is a one-subcarrier
 //!   frame, which is served exactly like a vector (prep cache included).
-//! * **Observability** — lock-light [metrics] (latency/wait
-//!   histograms, batch-size distribution, tier and shed counters,
-//!   aggregated [`sd_core::DetectionStats`]).
+//! * **Observability** — lock-free [metrics] (latency/wait histograms,
+//!   admission, shed, quality, prep-cache and node counters, per-shard and
+//!   per-tier rows) exported as Prometheus text and JSON lines. Each
+//!   exported metric is defined once, in [`export`]'s descriptor tables,
+//!   and both formats are rendered from them.
 //! * **A load harness** — a seeded [load generator](loadgen) that paces a
 //!   reproducible request mixture at an offered rate and reduces the run
 //!   to throughput / percentile-latency / miss-rate / degradation-mix.
@@ -93,10 +88,11 @@ pub mod runtime;
 mod worker;
 
 pub use batcher::BatchPolicy;
-pub use budget::{
-    fsd_nodes, kbest_nodes, CoreBudgetPolicy, CostModel, TierCostClass, WorkerBudget,
+pub use budget::{fsd_nodes, kbest_nodes, CostModel, TierCostClass};
+pub use export::{
+    json_line, prometheus_text, render, validate_json, ExportFormat, Kind, Metric, Quantile, Table,
+    SCALAR_METRICS, SHARD_METRICS, TIER_METRICS,
 };
-pub use export::{json_line, prometheus_text, render, validate_json, ExportFormat};
 pub use ladder::{choose_tier, LadderConfig, TierDecision, MIN_ANYTIME_NODES};
 pub use loadgen::{
     build_coherent_requests, build_frame_requests, build_requests, explode_frames, run_frame_load,
@@ -110,6 +106,4 @@ pub use request::{
     DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason, Rejected,
     RejectedFrame,
 };
-pub use runtime::{
-    default_core_allowance, host_cores, CoreBudgetConfig, ReporterConfig, ServeConfig, ServeRuntime,
-};
+pub use runtime::{default_core_allowance, host_cores, ReporterConfig, ServeConfig, ServeRuntime};

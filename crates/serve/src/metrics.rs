@@ -1,17 +1,16 @@
-//! Lock-light runtime metrics: atomic counters, log2 latency histograms,
-//! per-tier serve counters with cost-model validation, and one aggregated
-//! [`DetectionStats`] merged per batch.
+//! Lock-free runtime metrics: atomic counters, log2 latency histograms,
+//! and per-shard and per-tier serve counters with cost-model validation.
 //!
-//! Everything on the per-request path is a relaxed atomic increment; the
-//! only lock is the per-*batch* [`DetectionStats`] merge, amortized by the
-//! batcher. Tier-indexed metrics are sized from the runtime's tier
-//! registry at construction, so custom registries get first-class
-//! accounting with no code changes. [`Metrics::snapshot`] materializes a
-//! plain-data [`MetricsSnapshot`] for reports and the load harness.
+//! Everything on the per-request path is a relaxed atomic increment.
+//! Tier-indexed metrics are sized from the runtime's tier registry at
+//! construction, so custom registries get first-class accounting with no
+//! code changes. [`Metrics::snapshot`] materializes a plain-data
+//! [`MetricsSnapshot`] for reports and the load harness; which of its
+//! fields are exported, and under what names, is defined once in
+//! [`crate::export`]'s descriptor tables.
 
-use sd_core::DetectionStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const N_BUCKETS: usize = 64;
 
@@ -92,7 +91,8 @@ pub struct TierMetrics {
 
 /// Per-shard hot-path counters, one slot per runtime shard. Summed over
 /// shards these close the global invariants (`Σ routed == accepted`,
-/// `Σ served == served`, per-shard `hits + misses + bypass == served`);
+/// `Σ served == served`, per-shard `hits + misses + bypass == served`),
+/// and the snapshot's global prep-cache counters are their sums;
 /// individually they show where affinity routing sent the traffic and how
 /// much of it was stolen away.
 pub struct ShardMetrics {
@@ -107,26 +107,23 @@ pub struct ShardMetrics {
     pub stolen_in: AtomicU64,
     /// Items other shards' workers stole from this queue.
     pub stolen_out: AtomicU64,
-    /// This shard's prep-cache hits (see the global counters).
+    /// This shard's prep-cache hits: requests whose preparation reused a
+    /// cached channel factorization.
     pub prep_hits: AtomicU64,
-    /// This shard's prep-cache misses.
+    /// This shard's prep-cache misses: requests whose preparation factored
+    /// (and cached) their channel.
     pub prep_misses: AtomicU64,
     /// This shard's cache bypasses (disabled, non-cacheable tier, blocks of
     /// more than one subcarrier).
     pub prep_bypass: AtomicU64,
 }
 
-/// Shared runtime counters. All fields are written on the hot path with
-/// relaxed atomics except `stats`, merged once per batch.
+/// Shared runtime counters, all written on the hot path with relaxed
+/// atomics.
 pub struct Metrics {
-    /// Logical cores the host reported at startup (the default worker and
-    /// core-budget allowance derive from it).
+    /// Logical cores the host reported at startup (the default worker
+    /// allowance derives from it).
     pub host_cores: usize,
-    /// Current subtree-decoder lane allowance planned by the adaptive
-    /// core-budget controller (0 until a controller is attached).
-    pub core_budget: AtomicU64,
-    /// Times the controller changed the plan.
-    pub budget_replans: AtomicU64,
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardMetrics>,
     /// Requests admitted into the ingress queue.
@@ -154,15 +151,11 @@ pub struct Metrics {
     /// ([`sd_core::SearchQuality::BudgetTruncated`]): the anytime engine
     /// returned its best-so-far answer at the node cap or deadline.
     pub budget_exhausted: AtomicU64,
-    /// Requests whose preparation reused a cached channel factorization.
-    pub prep_cache_hits: AtomicU64,
-    /// Requests whose preparation factored (and cached) their channel.
-    pub prep_cache_misses: AtomicU64,
-    /// Requests prepared outside the cache (cache disabled, the tier's
-    /// preprocessing is not channel-cacheable, or a subcarrier of a block
-    /// of more than one). Every served request is exactly one of hit /
-    /// miss / bypass.
-    pub prep_cache_bypass: AtomicU64,
+    /// Search-tree nodes generated, summed over every served decision's
+    /// [`sd_core::DetectionStats`].
+    pub nodes_generated: AtomicU64,
+    /// Search-tree leaves reached, summed the same way.
+    pub leaves_reached: AtomicU64,
     /// Batches drained from the ingress queue.
     pub batches: AtomicU64,
     /// Total requests across all batches (mean batch = items / batches).
@@ -195,18 +188,12 @@ pub struct Metrics {
     /// prep-amortization ratio is `frame_subcarriers / frame_prep_factors`
     /// (block size when every frame shares its prep).
     pub frame_prep_factors: AtomicU64,
-    /// Subcarriers-per-frame distribution.
-    pub frame_size: Log2Histogram,
     /// Frame end-to-end latency distribution (nanoseconds).
     pub frame_latency_ns: Log2Histogram,
     /// End-to-end latency distribution (nanoseconds).
     pub latency_ns: Log2Histogram,
     /// Queue-wait distribution (nanoseconds).
     pub queue_wait_ns: Log2Histogram,
-    /// Batch-size distribution.
-    pub batch_size: Log2Histogram,
-    /// Aggregated decoder instrumentation, merged per batch.
-    stats: Mutex<DetectionStats>,
 }
 
 impl Metrics {
@@ -216,8 +203,6 @@ impl Metrics {
     pub fn new(tier_labels: Vec<Arc<str>>, n_shards: usize, host_cores: usize) -> Self {
         Metrics {
             host_cores,
-            core_budget: AtomicU64::new(0),
-            budget_replans: AtomicU64::new(0),
             shards: (0..n_shards)
                 .map(|_| ShardMetrics {
                     routed: AtomicU64::new(0),
@@ -246,9 +231,8 @@ impl Metrics {
             deadline_missed: AtomicU64::new(0),
             quality_exact: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
-            prep_cache_hits: AtomicU64::new(0),
-            prep_cache_misses: AtomicU64::new(0),
-            prep_cache_bypass: AtomicU64::new(0),
+            nodes_generated: AtomicU64::new(0),
+            leaves_reached: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batch_items: AtomicU64::new(0),
             frames_accepted: AtomicU64::new(0),
@@ -260,18 +244,10 @@ impl Metrics {
             frames_deadline_missed: AtomicU64::new(0),
             frame_subcarriers: AtomicU64::new(0),
             frame_prep_factors: AtomicU64::new(0),
-            frame_size: Log2Histogram::new(),
             frame_latency_ns: Log2Histogram::new(),
             latency_ns: Log2Histogram::new(),
             queue_wait_ns: Log2Histogram::new(),
-            batch_size: Log2Histogram::new(),
-            stats: Mutex::new(DetectionStats::default()),
         }
-    }
-
-    /// Merge one batch's aggregated decoder stats.
-    pub fn merge_stats(&self, batch: &DetectionStats) {
-        self.stats.lock().unwrap().merge(batch);
     }
 
     /// Materialize a plain-data snapshot. `shard_depths` holds each shard
@@ -297,27 +273,29 @@ impl Metrics {
         let frame_prep_factors = self.frame_prep_factors.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         let items = self.batch_items.load(Ordering::Relaxed);
+        let shards: Vec<ShardSnapshot> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ShardSnapshot {
+                routed: s.routed.load(Ordering::Relaxed),
+                served: s.served.load(Ordering::Relaxed),
+                affinity_served: s.affinity_served.load(Ordering::Relaxed),
+                stolen_in: s.stolen_in.load(Ordering::Relaxed),
+                stolen_out: s.stolen_out.load(Ordering::Relaxed),
+                prep_hits: s.prep_hits.load(Ordering::Relaxed),
+                prep_misses: s.prep_misses.load(Ordering::Relaxed),
+                prep_bypass: s.prep_bypass.load(Ordering::Relaxed),
+                queue_depth: shard_depths.get(i).copied().unwrap_or(0),
+            })
+            .collect();
         MetricsSnapshot {
             host_cores: self.host_cores,
             n_shards: self.shards.len(),
-            core_budget: self.core_budget.load(Ordering::Relaxed),
-            budget_replans: self.budget_replans.load(Ordering::Relaxed),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardSnapshot {
-                    routed: s.routed.load(Ordering::Relaxed),
-                    served: s.served.load(Ordering::Relaxed),
-                    affinity_served: s.affinity_served.load(Ordering::Relaxed),
-                    stolen_in: s.stolen_in.load(Ordering::Relaxed),
-                    stolen_out: s.stolen_out.load(Ordering::Relaxed),
-                    prep_hits: s.prep_hits.load(Ordering::Relaxed),
-                    prep_misses: s.prep_misses.load(Ordering::Relaxed),
-                    prep_bypass: s.prep_bypass.load(Ordering::Relaxed),
-                    queue_depth: shard_depths.get(i).copied().unwrap_or(0),
-                })
-                .collect(),
+            prep_cache_hits: shards.iter().map(|s| s.prep_hits).sum(),
+            prep_cache_misses: shards.iter().map(|s| s.prep_misses).sum(),
+            prep_cache_bypass: shards.iter().map(|s| s.prep_bypass).sum(),
+            shards,
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_full: self.rejected_full.load(Ordering::Relaxed),
             rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
@@ -339,9 +317,8 @@ impl Metrics {
             deadline_missed: missed,
             quality_exact: self.quality_exact.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-            prep_cache_hits: self.prep_cache_hits.load(Ordering::Relaxed),
-            prep_cache_misses: self.prep_cache_misses.load(Ordering::Relaxed),
-            prep_cache_bypass: self.prep_cache_bypass.load(Ordering::Relaxed),
+            nodes_generated: self.nodes_generated.load(Ordering::Relaxed),
+            leaves_reached: self.leaves_reached.load(Ordering::Relaxed),
             deadline_miss_rate: if served == 0 {
                 0.0
             } else {
@@ -377,7 +354,6 @@ impl Metrics {
             p50_latency_us: Log2Histogram::quantile(&lat, 0.50) as f64 / 1e3,
             p99_latency_us: Log2Histogram::quantile(&lat, 0.99) as f64 / 1e3,
             p99_queue_wait_us: Log2Histogram::quantile(&wait, 0.99) as f64 / 1e3,
-            stats: self.stats.lock().unwrap().clone(),
         }
     }
 }
@@ -426,10 +402,6 @@ pub struct MetricsSnapshot {
     pub host_cores: usize,
     /// Number of runtime shards.
     pub n_shards: usize,
-    /// Current subtree-decoder lane allowance (0 without a controller).
-    pub core_budget: u64,
-    /// Times the core-budget controller changed the plan.
-    pub budget_replans: u64,
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
     /// Requests admitted.
@@ -451,13 +423,16 @@ pub struct MetricsSnapshot {
     pub quality_exact: u64,
     /// Responses truncated by their decode budget (anytime best-so-far).
     pub budget_exhausted: u64,
-    /// Requests whose preparation reused a cached channel factorization.
+    /// Requests whose preparation reused a cached channel factorization
+    /// (the shards' `prep_hits`, summed).
     pub prep_cache_hits: u64,
-    /// Requests whose preparation factored (and cached) their channel.
+    /// Requests whose preparation factored (and cached) their channel
+    /// (the shards' `prep_misses`, summed).
     pub prep_cache_misses: u64,
-    /// Requests prepared outside the cache (disabled, non-cacheable tier,
-    /// or a subcarrier of a block of more than one). `hits + misses +
-    /// bypass` counts every prepared request.
+    /// Requests prepared outside the cache: disabled, non-cacheable tier,
+    /// or a subcarrier of a block of more than one (the shards'
+    /// `prep_bypass`, summed). Every served request is exactly one of
+    /// hit / miss / bypass.
     pub prep_cache_bypass: u64,
     /// `deadline_missed / served`.
     pub deadline_miss_rate: f64,
@@ -499,8 +474,10 @@ pub struct MetricsSnapshot {
     pub p99_latency_us: f64,
     /// 99th-percentile queue wait (µs, bucket upper bound).
     pub p99_queue_wait_us: f64,
-    /// Aggregated decoder instrumentation across all served requests.
-    pub stats: DetectionStats,
+    /// Search-tree nodes generated across all served decisions.
+    pub nodes_generated: u64,
+    /// Search-tree leaves reached across all served decisions.
+    pub leaves_reached: u64,
 }
 
 impl MetricsSnapshot {
@@ -573,13 +550,9 @@ mod tests {
         m.shards[0].affinity_served.store(3, Ordering::Relaxed);
         m.shards[0].stolen_out.store(1, Ordering::Relaxed);
         m.shards[1].stolen_in.store(1, Ordering::Relaxed);
-        m.core_budget.store(6, Ordering::Relaxed);
-        m.budget_replans.store(2, Ordering::Relaxed);
         let s = m.snapshot(&[3, 1]);
         assert_eq!(s.host_cores, 8);
         assert_eq!(s.n_shards, 2);
-        assert_eq!(s.core_budget, 6);
-        assert_eq!(s.budget_replans, 2);
         assert_eq!(s.queue_depth, 4, "aggregate depth sums the shards");
         assert_eq!(s.shards[0].queue_depth, 3);
         assert_eq!(s.shards[1].queue_depth, 1);
@@ -600,17 +573,25 @@ mod tests {
         m.deadline_missed.store(2, Ordering::Relaxed);
         m.batches.store(4, Ordering::Relaxed);
         m.batch_items.store(8, Ordering::Relaxed);
-        let batch = DetectionStats {
-            nodes_generated: 40,
-            ..Default::default()
-        };
-        m.merge_stats(&batch);
-        m.merge_stats(&batch);
         let s = m.snapshot(&[3]);
         assert_eq!(s.queue_depth, 3);
         assert!((s.deadline_miss_rate - 0.25).abs() < 1e-12);
         assert!((s.mean_batch_size - 2.0).abs() < 1e-12);
-        assert_eq!(s.stats.nodes_generated, 80);
+    }
+
+    /// The global prep-cache counters are the shards' sums, so the
+    /// per-shard and global closures cannot disagree.
+    #[test]
+    fn snapshot_sums_shard_prep_counters() {
+        let m = Metrics::new(labels(&["exact"]), 2, 1);
+        m.shards[0].prep_hits.store(3, Ordering::Relaxed);
+        m.shards[1].prep_hits.store(2, Ordering::Relaxed);
+        m.shards[0].prep_misses.store(1, Ordering::Relaxed);
+        m.shards[1].prep_bypass.store(4, Ordering::Relaxed);
+        let s = m.snapshot(&[0, 0]);
+        assert_eq!(s.prep_cache_hits, 5);
+        assert_eq!(s.prep_cache_misses, 1);
+        assert_eq!(s.prep_cache_bypass, 4);
     }
 
     /// Every served response is either exact or budget-truncated; the
@@ -637,7 +618,6 @@ mod tests {
         m.frames_deadline_missed.store(1, Ordering::Relaxed);
         m.frame_subcarriers.store(64, Ordering::Relaxed);
         m.frame_prep_factors.store(4, Ordering::Relaxed);
-        m.frame_size.record(16);
         m.frame_latency_ns.record(2_000_000);
         let s = m.snapshot(&[0]);
         assert_eq!(s.frames_accepted, 5);

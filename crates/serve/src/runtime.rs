@@ -25,19 +25,12 @@
 //!    [`ServeRuntime::recycle`]s it, returning the detection buffer to the
 //!    pool and regaining ownership of the request.
 //!
-//! On top of the shards, an optional **adaptive core budget**
-//! ([`ServeConfig::with_core_budget`]) re-plans how the physical core
-//! allowance is split between request-level workers and the
-//! subtree-parallel exact decoder's broadcast pool: low load favors a
-//! wide [`sd_core::ParallelSphereDecoder`] (latency), high load narrows
-//! it so the cores serve independent requests (throughput).
-//!
 //! [`ServeRuntime::shutdown`] closes every ingress queue, lets workers
 //! drain every admitted request (drain-then-join — nothing admitted is
 //! ever dropped), joins them, and returns the final metrics snapshot.
 
 use crate::batcher::BatchPolicy;
-use crate::budget::{CoreBudgetPolicy, CostModel};
+use crate::budget::CostModel;
 use crate::export::{render, ExportFormat};
 use crate::ladder::{choose_tier, LadderConfig};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -49,7 +42,7 @@ use crate::request::{
     RejectedFrame,
 };
 use crate::worker::Worker;
-use sd_core::{Detection, WorkerBudget};
+use sd_core::Detection;
 use sd_wireless::{Constellation, FrameData};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
@@ -82,19 +75,6 @@ pub struct ReporterConfig {
     pub format: ExportFormat,
 }
 
-/// Adaptive core-budget controller configuration: the shared
-/// [`WorkerBudget`] handle the subtree-parallel decoder samples, plus the
-/// [`CoreBudgetPolicy`] that re-plans it. Build the registry's exact tier
-/// with [`sd_core::ParallelSphereDecoder::with_worker_budget`] on a clone
-/// of the same handle to close the loop.
-#[derive(Clone, Debug)]
-pub struct CoreBudgetConfig {
-    /// Lane allowance shared with the decoder(s) under control.
-    pub handle: Arc<WorkerBudget>,
-    /// Watermarks, cadence, and core allowance.
-    pub policy: CoreBudgetPolicy,
-}
-
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -118,8 +98,6 @@ pub struct ServeConfig {
     pub start_paused: bool,
     /// Optional periodic metrics reporter.
     pub reporter: Option<ReporterConfig>,
-    /// Optional adaptive core-budget controller.
-    pub core_budget: Option<CoreBudgetConfig>,
     /// Per-shard channel-coherent preparation cache capacity (cached QR
     /// factorizations per shard; see [`crate::prep_cache`]). `0` disables
     /// the cache — every request then pays its own QR.
@@ -151,7 +129,6 @@ impl Default for ServeConfig {
             ladder: LadderConfig::default(),
             start_paused: false,
             reporter: None,
-            core_budget: None,
             prep_cache: 8,
             predictive_admission: false,
         }
@@ -204,14 +181,6 @@ impl ServeConfig {
     /// Builder: report metrics to stderr every `period` in `format`.
     pub fn with_reporter(mut self, period: Duration, format: ExportFormat) -> Self {
         self.reporter = Some(ReporterConfig { period, format });
-        self
-    }
-
-    /// Builder: attach the adaptive core-budget controller. `handle` is
-    /// the [`WorkerBudget`] the registry's subtree-parallel decoder was
-    /// built with; the controller re-plans it per `policy`.
-    pub fn with_core_budget(mut self, handle: Arc<WorkerBudget>, policy: CoreBudgetPolicy) -> Self {
-        self.core_budget = Some(CoreBudgetConfig { handle, policy });
         self
     }
 
@@ -349,11 +318,6 @@ impl Shared {
     fn shard_depths(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.queue.len()).collect()
     }
-
-    /// Total ingress backlog.
-    fn total_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
-    }
 }
 
 /// A running detection service.
@@ -361,7 +325,6 @@ pub struct ServeRuntime {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     reporter: Option<Reporter>,
-    controller: Option<Controller>,
 }
 
 /// The periodic reporter thread and its stop latch.
@@ -400,83 +363,6 @@ impl Reporter {
         *lock.lock().unwrap() = true;
         cv.notify_all();
         self.handle.join().expect("reporter panicked");
-    }
-}
-
-/// The adaptive core-budget controller thread and its stop latch.
-///
-/// Every `period` it folds the summed shard backlog into an EWMA,
-/// normalizes by the worker count ("queued items per worker"), and picks
-/// a plan: backlog at or above the high watermark narrows the
-/// subtree-parallel decoder to `max(1, cores / n_workers)` lanes so the
-/// cores serve independent requests (throughput); backlog at or below the
-/// low watermark hands the whole allowance back to the decoder (latency).
-/// Between the watermarks the current plan holds — hysteresis, so a load
-/// hovering near one threshold cannot flap the pool.
-struct Controller {
-    handle: JoinHandle<()>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl Controller {
-    fn spawn(shared: Arc<Shared>, cfg: CoreBudgetConfig) -> Self {
-        use std::sync::atomic::Ordering::Relaxed;
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let latch = Arc::clone(&stop);
-        // Start on the latency plan: an idle runtime wants the widest
-        // decoder. Recorded immediately so snapshots never read 0 while a
-        // controller is attached.
-        cfg.handle.set(cfg.policy.cores.max(1));
-        shared
-            .metrics
-            .core_budget
-            .store(cfg.handle.get() as u64, Relaxed);
-        let handle = std::thread::Builder::new()
-            .name("sd-serve-budget".into())
-            .spawn(move || {
-                let (lock, cv) = &*latch;
-                let n_workers = shared.config.n_workers.max(1);
-                let latency_plan = cfg.policy.cores.max(1);
-                let throughput_plan = (cfg.policy.cores / n_workers).max(1);
-                let mut current = latency_plan;
-                let mut ewma = 0.0f64;
-                let mut stopped = lock.lock().unwrap();
-                loop {
-                    let (g, timeout) = cv.wait_timeout(stopped, cfg.policy.period).unwrap();
-                    stopped = g;
-                    if *stopped {
-                        return;
-                    }
-                    if !timeout.timed_out() {
-                        continue;
-                    }
-                    let depth = shared.total_depth();
-                    ewma += cfg.policy.alpha * (depth as f64 - ewma);
-                    let load = ewma / n_workers as f64;
-                    let target = if load >= cfg.policy.high_watermark {
-                        throughput_plan
-                    } else if load <= cfg.policy.low_watermark {
-                        latency_plan
-                    } else {
-                        current // dead band: hold the plan
-                    };
-                    if target != current {
-                        current = target;
-                        cfg.handle.set(current);
-                        shared.metrics.budget_replans.fetch_add(1, Relaxed);
-                    }
-                    shared.metrics.core_budget.store(current as u64, Relaxed);
-                }
-            })
-            .expect("spawn budget controller");
-        Controller { handle, stop }
-    }
-
-    fn stop(self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        self.handle.join().expect("budget controller panicked");
     }
 }
 
@@ -540,7 +426,6 @@ impl ServeRuntime {
         let out = BoundedQueue::new(usize::MAX);
         let out_frames = BoundedQueue::new(usize::MAX);
         let labels = tiers.iter().map(|t| Arc::clone(&t.label)).collect();
-        let core_budget = config.core_budget.clone();
         let shared = Arc::new(Shared {
             shards,
             out,
@@ -566,12 +451,10 @@ impl ServeRuntime {
         let reporter = config
             .reporter
             .map(|rc| Reporter::spawn(Arc::clone(&shared), rc));
-        let controller = core_budget.map(|cb| Controller::spawn(Arc::clone(&shared), cb));
         ServeRuntime {
             shared,
             workers,
             reporter,
-            controller,
         }
     }
 
@@ -776,7 +659,7 @@ impl ServeRuntime {
 
     /// Current total ingress backlog (summed over shards).
     pub fn queue_depth(&self) -> usize {
-        self.shared.total_depth()
+        self.shared.shards.iter().map(|s| s.queue.len()).sum()
     }
 
     /// Number of shards the runtime resolved at startup.
@@ -814,9 +697,6 @@ impl ServeRuntime {
         }
         for w in self.workers.drain(..) {
             w.join().expect("worker panicked");
-        }
-        if let Some(controller) = self.controller.take() {
-            controller.stop();
         }
         if let Some(reporter) = self.reporter.take() {
             reporter.stop();
@@ -1010,34 +890,6 @@ mod tests {
         assert_eq!(snap.served, 8, "reporter must not disturb serving");
     }
 
-    #[test]
-    fn budget_controller_plans_and_stops() {
-        let c = Constellation::new(Modulation::Qam4);
-        let handle = Arc::new(WorkerBudget::new(1));
-        let rt = ServeRuntime::start(
-            ServeConfig::default().with_workers(1).with_core_budget(
-                Arc::clone(&handle),
-                CoreBudgetPolicy {
-                    cores: 4,
-                    period: Duration::from_millis(5),
-                    ..CoreBudgetPolicy::default()
-                },
-            ),
-            c.clone(),
-        );
-        // The controller starts on the latency plan immediately.
-        assert_eq!(handle.get(), 4);
-        assert_eq!(rt.metrics().core_budget, 4);
-        let mut rng = StdRng::seed_from_u64(12);
-        for id in 0..8 {
-            rt.submit(request(id, &mut rng, &c)).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(25));
-        let (snap, _, _) = rt.shutdown();
-        assert_eq!(snap.served, 8, "controller must not disturb serving");
-        assert!(snap.core_budget >= 1);
-    }
-
     fn frame_request(id: u64, block: usize, rng: &mut StdRng, c: &Constellation) -> FrameRequest {
         let snr = 12.0;
         let sigma2 = noise_variance(snr, 4);
@@ -1096,6 +948,57 @@ mod tests {
         // Shard accounting weighs frames by their subcarriers.
         assert_eq!(snap.shards[0].routed, 34);
         assert_eq!(snap.shards[0].served, 34);
+    }
+
+    /// The snapshot's node counters close end to end: with two workers
+    /// adding to them concurrently, they equal the sums over every
+    /// response's own `Detection.stats` — vectors and fused frames alike.
+    #[test]
+    fn node_counters_close_over_every_response() {
+        use crate::budget::TierCostClass;
+        let c = Constellation::new(Modulation::Qam4);
+        let ladder = LadderConfig {
+            enabled: false,
+            ..LadderConfig::default()
+        };
+        let rt = ServeRuntime::start_with_registry(
+            ServeConfig::default().with_workers(2).with_ladder(ladder),
+            vec![Tier::new(
+                "k-best",
+                TierCostClass::fixed_kbest(8),
+                Box::new(sd_core::KBestSd::<f64>::new(c.clone(), 8)),
+            )],
+        );
+        let mut rng = StdRng::seed_from_u64(41);
+        for id in 0..4 {
+            rt.submit_frame(frame_request(id, 8, &mut rng, &c)).unwrap();
+        }
+        for id in 100..116 {
+            rt.submit(request(id, &mut rng, &c)).unwrap();
+        }
+        let (mut nodes, mut leaves) = (0, 0);
+        for _ in 0..4 {
+            let f = rt
+                .collect_frame_timeout(Duration::from_secs(5))
+                .expect("frame path stalled");
+            for d in &f.detections {
+                nodes += d.stats.nodes_generated;
+                leaves += d.stats.leaves_reached;
+            }
+        }
+        for _ in 0..16 {
+            let r = rt
+                .collect_timeout(Duration::from_secs(5))
+                .expect("vector path stalled");
+            nodes += r.detection.stats.nodes_generated;
+            leaves += r.detection.stats.leaves_reached;
+        }
+        let (snap, _, _) = rt.shutdown();
+        assert_eq!(snap.served, 4 * 8 + 16);
+        assert_eq!(snap.frames_fused, 4, "k-best frames take the fused path");
+        assert!(nodes > 0 && leaves > 0);
+        assert_eq!(snap.nodes_generated, nodes);
+        assert_eq!(snap.leaves_reached, leaves);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //!
 //! Each worker owns every scratch buffer the decode path needs
 //! ([`PrepScratch`], [`SearchWorkspace`], a reusable [`Prepared`], a
-//! [`BlockPrep`] for blocks, the batch and response vectors, a
-//! batch-level stats accumulator), so the steady-state path performs
-//! **zero heap allocations per request**: the registry tiers are driven
-//! entirely through [`sd_core::PreparedDetector`]'s `_into` entry points,
-//! which write into recycled [`Detection`] slots from the runtime's
-//! response pools, and all synchronization costs (ingress lock, response
-//! push, metrics merge) are paid once per batch. Because every tier
-//! speaks the same engine trait, the worker has no per-detector code at
-//! all — serving a new tier is purely a registry entry.
+//! [`BlockPrep`] for blocks, the batch and response vectors), so the
+//! steady-state path performs **zero heap allocations per request**: the
+//! registry tiers are driven entirely through
+//! [`sd_core::PreparedDetector`]'s `_into` entry points, which write into
+//! recycled [`Detection`] slots from the runtime's response pools. The
+//! ingress lock and the response push are paid once per batch; metrics
+//! are relaxed atomic increments. Because every tier speaks the same
+//! engine trait, the worker has no per-detector code at all — serving a
+//! new tier is purely a registry entry.
 //!
 //! A worker is pinned to one shard: its ladder decisions consult that
 //! shard's [`crate::budget::CostModel`] and its cacheable preparations go
@@ -34,16 +34,16 @@
 //! by `b`, not by request kind:
 //!
 //! * `b == 1` keeps the per-vector preparation — through the shard's prep
-//!   cache when the tier is cacheable and the cache is on (counted as
-//!   `prep_cache_hits`/`prep_cache_misses`), else a plain
-//!   `prepare_frame_into` (`prep_cache_bypass`). A one-subcarrier frame
+//!   cache when the tier is cacheable and the cache is on (counted as the
+//!   shard's `prep_hits`/`prep_misses`), else a plain
+//!   `prepare_frame_into` (`prep_bypass`). A one-subcarrier frame
 //!   is served exactly like a vector.
 //! * `b > 1` calls [`sd_core::decode_block_fused_into`]: one shared
 //!   channel preparation for the block; level-synchronous tiers run the
 //!   cross-subcarrier fused sweep (one GEMM batch per tree level, counted
 //!   in `frames_fused`), the rest the shared-prep per-subcarrier loop.
 //!   Blocks do not go through the prep cache; every subcarrier counts as
-//!   a `prep_cache_bypass`, so `hits + misses + bypass == served` holds
+//!   a `prep_bypass`, so `hits + misses + bypass == served` holds
 //!   over mixed traffic.
 //!
 //! Either way the per-subcarrier results are bit-identical to a
@@ -64,8 +64,8 @@ use crate::queue::{BatchPop, Weighted};
 use crate::request::{DetectionResponse, FrameResponse};
 use crate::runtime::{Ingress, Shared};
 use sd_core::{
-    decode_block_fused_into, BlockPrep, ChannelObservables, Detection, DetectionStats, PrepScratch,
-    Prepared, SearchWorkspace,
+    decode_block_fused_into, BlockPrep, ChannelObservables, Detection, PrepScratch, Prepared,
+    SearchWorkspace,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,7 +90,6 @@ pub(crate) struct Worker {
     batch: Vec<Ingress>,
     done: Vec<DetectionResponse>,
     done_frames: Vec<FrameResponse>,
-    batch_stats: DetectionStats,
 }
 
 impl Worker {
@@ -105,7 +104,6 @@ impl Worker {
             batch: Vec::new(),
             done: Vec::new(),
             done_frames: Vec::new(),
-            batch_stats: DetectionStats::default(),
             shared,
         }
     }
@@ -188,7 +186,6 @@ impl Worker {
                     .fetch_sub(cost, Relaxed);
             }
             let size = batch.len();
-            self.batch_stats.reset(0);
             for item in batch.drain(..) {
                 self.serve(item, stolen);
             }
@@ -196,8 +193,6 @@ impl Worker {
             let m = &self.shared.metrics;
             m.batches.fetch_add(1, Relaxed);
             m.batch_items.fetch_add(size as u64, Relaxed);
-            m.batch_size.record(size as u64);
-            m.merge_stats(&self.batch_stats);
             self.shared.out.push_all(&mut self.done);
             self.shared.out_frames.push_all(&mut self.done_frames);
         }
@@ -298,16 +293,13 @@ impl Worker {
                         &mut self.prep,
                     );
                 if hit {
-                    metrics.prep_cache_hits.fetch_add(1, Relaxed);
                     sm.prep_hits.fetch_add(1, Relaxed);
                 } else {
-                    metrics.prep_cache_misses.fetch_add(1, Relaxed);
                     sm.prep_misses.fetch_add(1, Relaxed);
                 }
             } else {
                 tier.detector
                     .prepare_frame_into(frame, &mut self.prep_scratch, &mut self.prep);
-                metrics.prep_cache_bypass.fetch_add(1, Relaxed);
                 sm.prep_bypass.fetch_add(1, Relaxed);
             }
             let r2 = tier
@@ -322,7 +314,6 @@ impl Worker {
             );
             (1, false)
         } else {
-            metrics.prep_cache_bypass.fetch_add(weight, Relaxed);
             sm.prep_bypass.fetch_add(weight, Relaxed);
             decode_block_fused_into(
                 &*tier.detector,
@@ -371,6 +362,9 @@ impl Worker {
         // model keeps predicting single-vector service time and the
         // ladder's block scaling stays dimensionally consistent.
         let nodes: u64 = out.iter().map(|d| d.stats.nodes_generated).sum();
+        let leaves: u64 = out.iter().map(|d| d.stats.leaves_reached).sum();
+        metrics.nodes_generated.fetch_add(nodes, Relaxed);
+        metrics.leaves_reached.fetch_add(leaves, Relaxed);
         self.model().observe(
             tier_idx,
             &tier.cost,
@@ -379,9 +373,6 @@ impl Worker {
             nodes / weight,
             service_ns / weight,
         );
-        for d in out.iter() {
-            self.batch_stats.merge(&d.stats);
-        }
 
         let tier_label = Arc::clone(&tier.label);
         match item {
@@ -410,7 +401,6 @@ impl Worker {
                     .frame_prep_factors
                     .fetch_add(prep_factors as u64, Relaxed);
                 metrics.frame_subcarriers.fetch_add(weight, Relaxed);
-                metrics.frame_size.record(weight);
                 metrics.frame_latency_ns.record(latency.as_nanos() as u64);
                 self.done_frames.push(FrameResponse {
                     request,

@@ -9,14 +9,17 @@
 //!
 //! Both modes finish by rendering the final [`sd_serve::MetricsSnapshot`]
 //! through the export surfaces — Prometheus text exposition and a JSON
-//! line — and the smoke mode self-checks the JSON with
-//! [`sd_serve::validate_json`], exiting non-zero on any violation.
+//! line. The smoke mode checks both against the export descriptor tables
+//! ([`sd_serve::SCALAR_METRICS`] and its per-shard and per-tier twins)
+//! and the JSON with [`sd_serve::validate_json`], exiting non-zero on any
+//! violation.
 
 use sd_core::SphereDecoder;
 use sd_serve::{
     build_requests, json_line, prometheus_text, run_frame_load, run_load, validate_json,
-    ExportFormat, FrameLoadConfig, FrameLoadReport, LadderConfig, LoadConfig, LoadReport,
-    MetricsSnapshot, RejectReason, ServeConfig, ServeRuntime, Tier, TierCostClass,
+    ExportFormat, FrameLoadConfig, FrameLoadReport, Kind, LadderConfig, LoadConfig, LoadReport,
+    MetricsSnapshot, RejectReason, ServeConfig, ServeRuntime, Table, Tier, TierCostClass,
+    SCALAR_METRICS, SHARD_METRICS, TIER_METRICS,
 };
 use sd_wireless::{Constellation, GridConfig, Modulation, REAL_TIME_BUDGET};
 use std::time::Duration;
@@ -85,6 +88,57 @@ fn show_exports(snapshot: &MetricsSnapshot) {
     println!("{}", json_line(snapshot));
 }
 
+/// Render both exports and check them against the descriptor tables:
+/// the JSON line parses, every table row has exactly one `# HELP` and
+/// one `# TYPE` line and all of its JSON keys, and every runtime-wide
+/// counter and gauge renders the snapshot's own value in both formats.
+/// Panics on any violation.
+fn check_exports(snapshot: &MetricsSnapshot) {
+    show_exports(snapshot);
+    let prom = prometheus_text(snapshot);
+    let line = json_line(snapshot);
+    validate_json(&line).expect("JSON export must parse");
+    fn rows<S>(table: &Table<S>, prom: &str, line: &str) {
+        for row in table.rows {
+            let family = table.family(row);
+            let kind = row.kind.type_name();
+            for header in [
+                format!("# HELP {family} {}\n", row.help),
+                format!("# TYPE {family} {kind}\n"),
+            ] {
+                let n = prom.matches(&header).count();
+                assert_eq!(n, 1, "Prometheus export has {n} of {header:?}");
+            }
+            for key in row.json_keys() {
+                assert!(
+                    line.contains(&format!("\"{key}\":")),
+                    "JSON export missing {key}"
+                );
+            }
+        }
+    }
+    rows(&SCALAR_METRICS, &prom, &line);
+    rows(&SHARD_METRICS, &prom, &line);
+    rows(&TIER_METRICS, &prom, &line);
+    for row in SCALAR_METRICS.rows {
+        let value = match row.kind {
+            Kind::Counter(get) => get(snapshot).to_string(),
+            Kind::Gauge(get) => get(snapshot).to_string(),
+            Kind::Summary(_) => continue,
+        };
+        let sample = format!("{} {value}\n", SCALAR_METRICS.family(row));
+        assert!(
+            prom.contains(&sample),
+            "Prometheus export missing {sample:?}"
+        );
+        let member = format!("\"{}\":{value}", row.name);
+        assert!(
+            line.contains(&format!("{member},")) || line.contains(&format!("{member}}}")),
+            "JSON export missing {member}"
+        );
+    }
+}
+
 /// Tiny deterministic run for CI: exercise the runtime end to end,
 /// render both export formats, and machine-check the JSON line. Any
 /// violated invariant panics, so the process exits non-zero on failure.
@@ -116,11 +170,9 @@ fn smoke() {
     let (snapshot, _, _) = rt.shutdown();
 
     show("smoke run (4x4 QAM4, 64 requests, 2 shards)", &report);
-    show_exports(&snapshot);
+    check_exports(&snapshot);
 
     assert_eq!(report.served, cfg.n_requests as u64, "smoke must serve all");
-    let line = json_line(&snapshot);
-    validate_json(&line).expect("JSON export must parse");
     assert!(
         snapshot.deadline_missed <= snapshot.served,
         "missed ({}) must never exceed served ({})",
@@ -139,37 +191,13 @@ fn smoke() {
     // Reactive serving never issues a decode budget, so the quality rows
     // must read all-exact here.
     assert_eq!(
-        snapshot.quality_exact + snapshot.budget_exhausted,
-        snapshot.served,
+        snapshot.budget_exhausted, 0,
+        "reactive serving never truncates"
+    );
+    assert_eq!(
+        snapshot.quality_exact, snapshot.served,
         "quality counters must close over served requests"
     );
-    for needle in [
-        "\"host_cores\":",
-        "\"n_shards\":2",
-        "\"shards\":[{",
-        "\"quality_exact\":",
-        "\"budget_exhausted\":0",
-    ] {
-        assert!(line.contains(needle), "JSON export missing {needle}");
-    }
-    let prom = prometheus_text(&snapshot);
-    for needle in [
-        "sd_serve_served_total",
-        "sd_serve_deadline_miss_rate",
-        "sd_serve_tier_served_total{tier=",
-        "sd_serve_tier_predict_err_us{tier=",
-        "sd_serve_host_cores",
-        "sd_serve_n_shards 2",
-        "sd_serve_shard_routed_total{shard=\"0\"}",
-        "sd_serve_shard_routed_total{shard=\"1\"}",
-        "sd_serve_shard_served_total{shard=\"0\"}",
-        "sd_serve_shard_prep_hits_total{shard=\"0\"}",
-        "sd_serve_shard_queue_depth{shard=\"1\"}",
-        "sd_serve_quality_exact_total",
-        "sd_serve_budget_exhausted_total 0",
-    ] {
-        assert!(prom.contains(needle), "Prometheus export missing {needle}");
-    }
     println!(
         "smoke OK: {} served across {} shards, exports validated",
         snapshot.served, snapshot.n_shards
@@ -198,7 +226,7 @@ fn smoke() {
     let (snapshot, _, _) = rt.shutdown();
 
     show_frames("frame smoke run (16x4 grid, 4x4 QAM4)", &report);
-    show_exports(&snapshot);
+    check_exports(&snapshot);
 
     assert_eq!(
         report.served_frames, report.offered_frames,
@@ -216,20 +244,6 @@ fn smoke() {
         snapshot.served,
         "prep accounting must close over frame traffic"
     );
-    let line = json_line(&snapshot);
-    validate_json(&line).expect("frame JSON export must parse");
-    for needle in ["\"frames_served\":", "\"prep_amortization\":"] {
-        assert!(line.contains(needle), "JSON export missing {needle}");
-    }
-    let prom = prometheus_text(&snapshot);
-    for needle in [
-        "sd_serve_frames_served_total",
-        "sd_serve_frame_subcarriers_total",
-        "sd_serve_prep_amortization",
-        "sd_serve_frame_latency_us",
-    ] {
-        assert!(prom.contains(needle), "Prometheus export missing {needle}");
-    }
     println!(
         "frame smoke OK: {} frames / {} subcarriers served, exports validated",
         snapshot.frames_served, snapshot.frame_subcarriers
@@ -269,7 +283,7 @@ fn smoke() {
         "anytime smoke run (expired deadlines, budgets trip)",
         &report,
     );
-    show_exports(&snapshot);
+    check_exports(&snapshot);
 
     assert_eq!(
         report.served, acfg.n_requests as u64,
@@ -288,24 +302,6 @@ fn smoke() {
         report.truncated_rate() > 0.0,
         "load report must surface the truncated fraction"
     );
-    let line = json_line(&snapshot);
-    validate_json(&line).expect("anytime JSON export must parse");
-    for needle in [
-        format!("\"quality_exact\":{}", snapshot.quality_exact),
-        format!("\"budget_exhausted\":{}", snapshot.budget_exhausted),
-    ] {
-        assert!(line.contains(&needle), "JSON export missing {needle}");
-    }
-    let prom = prometheus_text(&snapshot);
-    for needle in [
-        format!("sd_serve_quality_exact_total {}", snapshot.quality_exact),
-        format!(
-            "sd_serve_budget_exhausted_total {}",
-            snapshot.budget_exhausted
-        ),
-    ] {
-        assert!(prom.contains(&needle), "Prometheus export missing {needle}");
-    }
     println!(
         "anytime smoke OK: {}/{} truncated at the budget, quality counters close",
         snapshot.budget_exhausted, snapshot.served
@@ -358,21 +354,8 @@ fn smoke() {
     let (snapshot, _, _) = rt.shutdown();
 
     assert_eq!(snapshot.rejected_predicted, shed);
-    let line = json_line(&snapshot);
-    validate_json(&line).expect("predictive JSON export must parse");
-    for needle in [
-        format!("\"rejected_predicted_late\":{shed}"),
-        "\"frames_rejected_predicted_late\":0".to_string(),
-    ] {
-        assert!(line.contains(&needle), "JSON export missing {needle}");
-    }
-    let prom = prometheus_text(&snapshot);
-    for needle in [
-        format!("sd_serve_rejected_predicted_late_total {shed}"),
-        "sd_serve_frames_rejected_predicted_late_total 0".to_string(),
-    ] {
-        assert!(prom.contains(&needle), "Prometheus export missing {needle}");
-    }
+    assert_eq!(snapshot.frames_rejected_predicted, 0);
+    check_exports(&snapshot);
     println!("predictive smoke OK: {shed} doomed requests shed at admission, exports validated");
 }
 

@@ -6,10 +6,7 @@
 //! the per-shard counters must close the global invariants
 //! (`Σ routed == accepted`, `Σ shard.served == served`,
 //! `hits + misses + bypass == served` and
-//! `affinity_served + stolen_in == served` per shard), and the adaptive
-//! core-budget controller must actually re-plan the [`WorkerBudget`]
-//! between the latency and throughput splits as load crosses its
-//! watermarks.
+//! `affinity_served + stolen_in == served` per shard).
 //!
 //! `SD_SHARDS` sets the shard count under test (default 2; `ci.sh` runs
 //! the matrix {1, 2, 4}); `SD_STRESS_ITERS` scales the determinism
@@ -18,13 +15,12 @@
 use sd_core::{Detection, PrepScratch, Prepared, PreparedDetector, SearchWorkspace};
 use sd_serve::{
     build_coherent_requests, build_frame_requests, default_registry, explode_frames,
-    quantized_registry, CoreBudgetPolicy, DetectionRequest, FrameLoadConfig, FrameRequest,
-    LadderConfig, LoadConfig, MetricsSnapshot, ServeConfig, ServeRuntime, Tier, WorkerBudget,
+    quantized_registry, DetectionRequest, FrameLoadConfig, FrameRequest, LadderConfig, LoadConfig,
+    MetricsSnapshot, ServeConfig, ServeRuntime, Tier,
 };
 use sd_wireless::{Constellation, GridConfig, Modulation, REAL_TIME_BUDGET};
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Shard count under test (`SD_SHARDS`, default 2).
 fn shards_under_test() -> usize {
@@ -514,67 +510,4 @@ fn repeated_sharded_runs_are_deterministic() {
         );
         assert_identical(&format!("stress run {run}"), &served, &truth);
     }
-}
-
-/// The controller re-plans the shared [`WorkerBudget`] as load crosses
-/// the watermarks: a standing backlog narrows the decoder to the
-/// throughput split, draining widens it back to the full allowance.
-#[test]
-fn core_budget_controller_follows_load() {
-    let c = Constellation::new(Modulation::Qam4);
-    let handle = Arc::new(WorkerBudget::new(1));
-    let policy = CoreBudgetPolicy {
-        cores: 4,
-        period: Duration::from_millis(2),
-        low_watermark: 0.5,
-        high_watermark: 2.0,
-        alpha: 1.0, // undamped: the EWMA is the instantaneous depth
-    };
-    let cfg = LoadConfig {
-        n_requests: 64,
-        deadline: Duration::from_secs(5),
-        ..workload()
-    };
-    let rt = ServeRuntime::start(
-        ServeConfig::default()
-            .with_workers(2)
-            .with_shards(1)
-            .with_queue_capacity(cfg.n_requests)
-            .with_core_budget(Arc::clone(&handle), policy)
-            .paused(),
-        c.clone(),
-    );
-    // Idle: the controller starts on the latency plan (all 4 cores to
-    // the decoder).
-    assert_eq!(handle.get(), 4);
-    // Build a standing backlog (workers gated): load = 64/2 ≫ high
-    // watermark, so the next tick must switch to the throughput plan
-    // max(1, 4 cores / 2 workers) = 2.
-    for req in build_coherent_requests(&cfg, 4, &c) {
-        rt.submit(req).expect("sized");
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.get() != 2 {
-        assert!(
-            Instant::now() < deadline,
-            "controller never took the throughput plan (budget {})",
-            handle.get()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // Drain: load falls to 0 ≤ low watermark, the plan must widen back.
-    rt.resume();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.get() != 4 {
-        assert!(
-            Instant::now() < deadline,
-            "controller never returned to the latency plan (budget {})",
-            handle.get()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let (snap, _, _) = rt.shutdown();
-    assert_eq!(snap.served, cfg.n_requests as u64);
-    assert!(snap.budget_replans >= 2, "both transitions recorded");
-    assert_eq!(snap.core_budget, 4, "final plan is the latency split");
 }

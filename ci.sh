@@ -22,6 +22,15 @@ echo "==> quantized BER gate (release)"
 # speed.
 cargo test -q --release --test quantized -- --ignored
 
+echo "==> exact DFS walker exactness (release)"
+# The exact tier's iterative walker is monomorphised per constellation
+# order, and its PD kernel vectorises across children; the monomorphs and
+# lanes that ship exist as built only in release. Its decodes must match
+# the seed recursive DFS at every order, both precisions and finite radii;
+# budget truncation must reproduce the pinned digests exactly; and a
+# trace sink must not change a bit.
+cargo test -q --release --test arena_vs_reference --test dfs_walker
+
 echo "==> parallel determinism stress (SD_STRESS_ITERS=200)"
 # The subtree-parallel decoder must return bit-identical answers on every
 # run regardless of thread interleaving; hammer it at full hardware

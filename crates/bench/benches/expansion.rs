@@ -80,7 +80,7 @@ fn bench_node_expansion(c: &mut Criterion) {
 
     // Before: the seed expansion — clone the node's path off the open
     // list, then a per-node scalar-shaped GEMM evaluation.
-    let mut scratch = PdScratch::new(p, N_TX);
+    let mut scratch = PdScratch::new(p);
     group.bench_function(BenchmarkId::new("per_node_path_clone", BATCH), |b| {
         b.iter(|| {
             let mut acc = 0.0f64;

@@ -16,8 +16,8 @@
 //! never needs the materialized path at all.
 //!
 //! [`SearchWorkspace`] bundles the arena with every other buffer a search
-//! needs (PD scratch, frontier vectors, the best-first heap, sort
-//! buffers). Holding one workspace across `detect_prepared_in` calls makes
+//! needs (PD scratch, frontier vectors, the best-first heap, the exact DFS
+//! walker's per-depth state). Holding one workspace across `detect_prepared_in` calls makes
 //! the steady-state search loop allocation-free: after capacity warm-up,
 //! decoding touches the allocator only to build the returned `Detection`.
 
@@ -127,6 +127,7 @@ impl NodeArena {
 }
 
 /// Iterator over a node's fixed symbols, deepest-first.
+#[derive(Clone)]
 pub struct Ancestry<'a> {
     arena: &'a NodeArena,
     id: u32,
@@ -175,11 +176,21 @@ pub struct SearchWorkspace<F: Float> {
     pub(crate) ybar_lanes: Vec<sd_math::Complex<F>>,
     /// Path materialization buffer.
     pub(crate) path_buf: Vec<usize>,
-    /// DFS current path.
+    /// DFS current path (the exact walker indexes it as a fixed-length
+    /// `M`-slot path; `path[d]` = symbol fixed at depth `d`).
     pub(crate) path: Vec<usize>,
     /// DFS best leaf path.
     pub(crate) best_path: Vec<usize>,
-    /// Per-depth `(increment, child)` sort buffers for sorted descent.
+    /// Exact DFS walker: per-depth `(increment, child)` lists, `M × P`
+    /// row-major — row `d` holds depth `d`'s children in visit order.
+    pub(crate) walk_children: Vec<(F, usize)>,
+    /// Exact DFS walker: the next child of each depth's list.
+    pub(crate) walk_cursor: Vec<usize>,
+    /// Exact DFS walker: the partial distance of the node open at each
+    /// depth.
+    pub(crate) walk_pd: Vec<F>,
+    /// Per-depth `(increment, child)` sort buffers of the subtree-parallel
+    /// decoder's recursive searches (parallel decoder only).
     pub(crate) sort_bufs: Vec<Vec<(F, usize)>>,
     /// Integer search state of the quantized engines (the quantized
     /// problem, frontiers, kernel planes).
@@ -205,6 +216,9 @@ impl<F: Float> SearchWorkspace<F> {
             path_buf: Vec::new(),
             path: Vec::new(),
             best_path: Vec::new(),
+            walk_children: Vec::new(),
+            walk_cursor: Vec::new(),
+            walk_pd: Vec::new(),
             sort_bufs: Vec::new(),
             fx: FxState::default(),
             trace: None,
@@ -246,7 +260,14 @@ impl<F: Float> SearchWorkspace<F> {
     /// Size the per-problem buffers for branching factor `order` and tree
     /// depth `n_tx`, allocating only on growth.
     pub(crate) fn prepare(&mut self, order: usize, n_tx: usize) {
-        self.scratch.ensure(order, n_tx);
+        self.scratch.ensure(order);
+        if self.walk_children.len() < n_tx * order {
+            self.walk_children.resize(n_tx * order, (F::ZERO, 0));
+        }
+        if self.walk_cursor.len() < n_tx {
+            self.walk_cursor.resize(n_tx, 0);
+            self.walk_pd.resize(n_tx, F::ZERO);
+        }
         if self.sort_bufs.len() < n_tx {
             self.sort_bufs.resize_with(n_tx, Vec::new);
         }

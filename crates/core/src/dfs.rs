@@ -8,11 +8,52 @@
 //! result is exactly the ML solution; with a finite initial radius the
 //! decoder restarts with an enlarged sphere when no leaf survives, so
 //! exactness holds for every [`InitialRadius`].
+//!
+//! ## One iterative walker
+//!
+//! The search is a loop, not a recursion. Its per-depth state lives in
+//! flat [`SearchWorkspace`] buffers that grow once per problem shape: an
+//! `M × P` table of child lists (row `d` holds depth `d`'s `(increment,
+//! child)` pairs in visit order), a cursor and a partial distance per
+//! depth, and a fixed `M`-slot path. Descending writes one path slot and
+//! one row; backing up moves a cursor. Nothing is allocated, taken or put
+//! back per node, and the PD kernel reads the suffix symbols straight off
+//! the path. The same walker runs sorted and unsorted (ablation) order and
+//! both [`EvalStrategy`]s, and it is generic over its sink, so the traced
+//! and untraced decodes walk the same code.
+//!
+//! ## Why it is monomorphised on the order
+//!
+//! The walker takes the constellation order as a const parameter `P`,
+//! dispatched once per decode for 2, 4, 16 and 64; `P = 0` is the same code
+//! reading `prep.order` at run time, for any other alphabet (the
+//! real-valued decomposition's PAM trees). A constant `P` is what makes an
+//! expansion cheap: the GEMM kernel's children-inner loop over SoA lanes
+//! and the rank sort of the children become fixed-width vector code with
+//! no trip-count logic. The same walker with a run-time `P` measured
+//! within noise of the recursion it replaced.
+//!
+//! ## Why it is bit-identical to the recursive search
+//!
+//! The walk visits nodes in the recursion's order and applies the same
+//! rules at each step: the budget check before every expansion (the root
+//! included; the deadline sampled when `nodes_expanded & 63 == 0`), the
+//! sorted prune that discards a child and all its later siblings, the
+//! unsorted prune that discards one child, and the leaf acceptance that
+//! shrinks the radius. Each increment comes from the same FMA sequence
+//! (see [`crate::pd`]), and children are ordered by the same total key
+//! (`total_cmp` on the increment, then the index). So the decoded indices,
+//! every [`DetectionStats`] counter and the final radius bits equal those
+//! of the seed recursive DFS kept in [`crate::reference`]
+//! (`tests/arena_vs_reference.rs`); budget truncation is pinned exactly in
+//! `tests/dfs_walker.rs`.
 
 use crate::arena::SearchWorkspace;
 use crate::detector::{Detection, DetectionStats, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
-use crate::pd::{children_into, eval_children, sorted_children_into, EvalStrategy, PdScratch};
+use crate::pd::{
+    eval_children, eval_children_at, order_of, sort_children, with_order, EvalStrategy, PdScratch,
+};
 use crate::preprocess::{ColumnOrdering, Prepared};
 use crate::radius::InitialRadius;
 use crate::trace::{span_clock, span_ns, Phase, TraceSink};
@@ -178,8 +219,8 @@ impl<F: Float> PreparedDetector<F> for SphereDecoder<F> {
     }
 
     /// Decode an already-preprocessed problem into a caller-owned
-    /// [`Detection`]: the path, best-path and per-depth child-sort
-    /// buffers all come from `ws`, and `out`'s index vector and
+    /// [`Detection`]: the walker's path, best path, child lists, cursors
+    /// and partial distances all come from `ws`, and `out`'s index vector and
     /// per-level histogram keep their capacity — with a warm `ws` and
     /// `out`, a decode performs zero heap allocations.
     fn detect_prepared_budgeted_into(
@@ -228,8 +269,10 @@ impl<F: Float> SphereDecoder<F> {
 }
 
 impl<F: Float> SphereDecoder<F> {
-    /// The restart loop, monomorphized per sink type. Returns the final
-    /// squared radius.
+    /// Dispatch ONCE per decode onto the walker monomorphised for the
+    /// constellation order; `P = 0` is the same code reading `prep.order`
+    /// at run time, for every other order (e.g. the real-valued
+    /// decomposition's PAM alphabets).
     fn run<S: DfsSink>(
         &self,
         prep: &Prepared<F>,
@@ -239,69 +282,94 @@ impl<F: Float> SphereDecoder<F> {
         out: &mut Detection,
         sink: S,
     ) -> F {
-        let mut search = Search {
+        with_order!(prep.order, P => {
+            self.run_order::<P, S>(prep, radius_sqr, budget, ws, out, sink)
+        })
+    }
+
+    /// The restart loop, monomorphized per order and sink type. Returns
+    /// the final squared radius.
+    fn run_order<const P: usize, S: DfsSink>(
+        &self,
+        prep: &Prepared<F>,
+        radius_sqr: f64,
+        budget: &DecodeBudget,
+        ws: &mut SearchWorkspace<F>,
+        out: &mut Detection,
+        sink: S,
+    ) -> F {
+        let m = prep.n_tx;
+        let p = order_of::<F, P>(prep);
+        ws.path.clear();
+        ws.path.resize(m, 0);
+        let mut walker = Walker::<F, S, P> {
             prep,
             scratch: &mut ws.scratch,
             stats: &mut out.stats,
             path: &mut ws.path,
             best_path: &mut ws.best_path,
-            sort_bufs: &mut ws.sort_bufs,
+            children: &mut ws.walk_children[..m * p],
+            cursor: &mut ws.walk_cursor[..m],
+            pd: &mut ws.walk_pd[..m],
             best_metric: F::from_f64(radius_sqr),
             sort: self.sort_children,
             eval: self.eval,
             max_nodes: budget.max_nodes,
             deadline: budget.deadline,
-            truncated: false,
             sink,
         };
         let mut r2 = radius_sqr;
         loop {
-            search.descend(F::ZERO);
-            if search.truncated {
+            if !walker.walk() {
                 // The budget tripped: keep the best-so-far leaf, or
                 // complete one greedily if the budget expired before the
                 // first dive reached the bottom. Never restart — the
                 // spend is gone either way.
-                let spent = search.stats.nodes_generated;
-                if search.best_path.is_empty() {
-                    search.greedy_complete();
+                let spent = walker.stats.nodes_generated;
+                if walker.best_path.is_empty() {
+                    walker.greedy_complete();
                 }
-                search.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
+                walker.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
                 break;
             }
-            if !search.best_path.is_empty() {
+            if !walker.best_path.is_empty() {
                 break;
             }
             // Empty sphere: enlarge and retry (keeps the decoder exact
             // for finite initial radii).
             r2 *= InitialRadius::RESTART_GROWTH;
-            search.stats.restarts += 1;
-            search.sink.on_restart();
-            search.best_metric = F::from_f64(r2);
+            walker.stats.restarts += 1;
+            walker.sink.on_restart();
+            walker.best_metric = F::from_f64(r2);
             assert!(
-                search.stats.restarts < 64,
+                walker.stats.restarts < 64,
                 "sphere radius failed to capture any leaf"
             );
         }
-        search.best_metric
+        walker.best_metric
     }
 }
 
 impl_detector_via_prepared!(SphereDecoder<F>, "SD sorted-DFS (paper)");
 
-/// One in-flight tree search, borrowing all buffers from a
+/// One in-flight tree search at constellation order `P` (`0`: read
+/// `prep.order`), its per-depth state borrowed from a
 /// [`SearchWorkspace`].
-struct Search<'a, F: Float, S: DfsSink> {
+struct Walker<'a, F: Float, S: DfsSink, const P: usize> {
     prep: &'a Prepared<F>,
     scratch: &'a mut PdScratch<F>,
     stats: &'a mut DetectionStats,
-    /// Current path, depth order (`path[d]` = antenna `M−1−d`).
+    /// Current path, `M` slots in depth order (`path[d]` = antenna
+    /// `M−1−d`); the node open at depth `d` is `path[..d]`.
     path: &'a mut Vec<usize>,
     best_path: &'a mut Vec<usize>,
-    /// Per-depth `(increment, child)` buffers: `descend` at depth `d` owns
-    /// `sort_bufs[d]` for the duration of its sibling loop, so recursion
-    /// never aliases and no expansion clones the increments.
-    sort_bufs: &'a mut [Vec<(F, usize)>],
+    /// `M × P` child lists: row `d` holds depth `d`'s `(increment,
+    /// child)` pairs in visit order (sorted, or natural for the ablation).
+    children: &'a mut [(F, usize)],
+    /// Per depth: index of the next child of row `d` to visit.
+    cursor: &'a mut [usize],
+    /// Per depth: partial distance of the node open at depth `d`.
+    pd: &'a mut [F],
     /// Current squared sphere radius (shrinks on every accepted leaf).
     best_metric: F,
     sort: bool,
@@ -311,14 +379,11 @@ struct Search<'a, F: Float, S: DfsSink> {
     max_nodes: u64,
     /// Wall-clock cutoff, sampled every 64 expansions.
     deadline: Option<Instant>,
-    /// Latched once the budget trips; unwinds the recursion without
-    /// expanding or accepting anything further.
-    truncated: bool,
     /// Observability sink ([`NoSink`] on the untraced hot path).
     sink: S,
 }
 
-impl<F: Float, S: DfsSink> Search<'_, F, S> {
+impl<F: Float, S: DfsSink, const P: usize> Walker<'_, F, S, P> {
     /// Whether the budget has expired. The node check is one integer
     /// compare per expansion; the deadline is sampled every 64
     /// expansions and only when one is set, so the unbudgeted hot path
@@ -336,62 +401,100 @@ impl<F: Float, S: DfsSink> Search<'_, F, S> {
         }
     }
 
-    /// Expand the node identified by `self.path` whose PD is `pd`.
-    fn descend(&mut self, pd: F) {
-        if self.truncated || self.budget_tripped() {
-            self.truncated = true;
-            return;
-        }
-        let depth = self.path.len();
+    /// One pass over the sphere from the root: depth-first, each depth's
+    /// children visited in list order until the list runs out or (sorted)
+    /// the first child falls outside the sphere. Returns `false` when the
+    /// budget tripped; the walk then stops where it stands, expanding and
+    /// accepting nothing further.
+    fn walk(&mut self) -> bool {
         let m = self.prep.n_tx;
-        let p = self.prep.order;
+        let p = order_of::<F, P>(self.prep);
+        self.pd[0] = F::ZERO;
+        if !self.expand(0) {
+            return false;
+        }
+        let mut depth = 0;
+        loop {
+            let rank = self.cursor[depth];
+            if rank == p {
+                // Row exhausted: back up to the parent's next sibling.
+                if depth == 0 {
+                    return true;
+                }
+                depth -= 1;
+                continue;
+            }
+            self.cursor[depth] = rank + 1;
+            let (inc, child) = self.children[depth * p + rank];
+            let child_pd = self.pd[depth] + inc;
+            if !(child_pd < self.best_metric) {
+                if self.sort {
+                    // Sorted order ⇒ every remaining sibling is pruned too.
+                    self.stats.nodes_pruned += (p - rank) as u64;
+                    self.sink.on_prune(depth, (p - rank) as u64);
+                    self.cursor[depth] = p;
+                } else {
+                    self.stats.nodes_pruned += 1;
+                    self.sink.on_prune(depth, 1);
+                }
+                continue;
+            }
+            self.sink.on_accept(depth, 1);
+            if depth + 1 == m {
+                // Leaf inside the sphere: Algorithm 1 lines 7–9.
+                self.stats.leaves_reached += 1;
+                self.stats.radius_updates += 1;
+                self.best_metric = child_pd;
+                let t0 = span_clock(S::ACTIVE);
+                self.best_path.clear();
+                self.best_path.extend_from_slice(&self.path[..depth]);
+                self.best_path.push(child);
+                self.sink.on_phase(Phase::Leaf, span_ns(t0));
+                self.sink.on_radius_update(depth, child_pd.to_f64());
+                continue;
+            }
+            self.path[depth] = child;
+            depth += 1;
+            self.pd[depth] = child_pd;
+            if !self.expand(depth) {
+                return false;
+            }
+        }
+    }
+
+    /// Expand the node open at `depth` (`path[..depth]`): evaluate its `P`
+    /// children and lay them out in row `depth` in visit order. Returns
+    /// `false`, expanding nothing, when the budget has tripped.
+    #[inline(always)]
+    fn expand(&mut self, depth: usize) -> bool {
+        if self.budget_tripped() {
+            return false;
+        }
+        let p = order_of::<F, P>(self.prep);
         self.stats.nodes_expanded += 1;
         let t0 = span_clock(S::ACTIVE);
-        self.stats.flops += eval_children(self.prep, self.path, self.eval, self.scratch);
+        self.stats.flops +=
+            eval_children_at::<F, P>(self.prep, &self.path[..depth], self.eval, self.scratch);
         self.sink.on_phase(Phase::Expand, span_ns(t0));
         self.sink.on_expand(depth, 1, p as u64);
         self.stats.nodes_generated += p as u64;
         self.stats.per_level_generated[depth] += p as u64;
 
-        // Take this depth's buffer out so `visit` can recurse into deeper
-        // levels; recursion overwrites `scratch.increments`, which is why
-        // the seed implementation cloned them every expansion.
-        let mut children = std::mem::take(&mut self.sort_bufs[depth]);
+        let row = &mut self.children[depth * p..(depth + 1) * p];
+        let increments = &self.scratch.increments[..p];
         if self.sort {
             let t0 = span_clock(S::ACTIVE);
-            sorted_children_into(&self.scratch.increments, &mut children);
+            sort_children(increments, row);
             self.sink.on_phase(Phase::Sort, span_ns(t0));
             self.sink.on_sort(depth, p as u64);
-            for (rank, &(inc, child)) in children.iter().enumerate() {
-                if self.truncated {
-                    break;
-                }
-                let child_pd = pd + inc;
-                if !(child_pd < self.best_metric) {
-                    // Sorted order ⇒ every remaining sibling is pruned too.
-                    self.stats.nodes_pruned += (p - rank) as u64;
-                    self.sink.on_prune(depth, (p - rank) as u64);
-                    break;
-                }
-                self.visit(child, child_pd, depth, m);
-            }
         } else {
             // Plain DFS ablation: natural constellation order.
-            children_into(&self.scratch.increments, &mut children);
-            for &(inc, child) in children.iter() {
-                if self.truncated {
-                    break;
-                }
-                let child_pd = pd + inc;
-                if child_pd < self.best_metric {
-                    self.visit(child, child_pd, depth, m);
-                } else {
-                    self.stats.nodes_pruned += 1;
-                    self.sink.on_prune(depth, 1);
-                }
+            for (c, (slot, &inc)) in row.iter_mut().zip(increments).enumerate() {
+                *slot = (inc, c);
             }
         }
-        self.sort_bufs[depth] = children;
+        self.cursor[depth] = 0;
+        true
     }
 
     /// The budget expired before the first dive reached a leaf: finish a
@@ -406,27 +509,6 @@ impl<F: Float, S: DfsSink> Search<'_, F, S> {
             self.path,
             self.best_path,
         );
-    }
-
-    #[inline]
-    fn visit(&mut self, child: usize, child_pd: F, depth: usize, m: usize) {
-        self.sink.on_accept(depth, 1);
-        if depth + 1 == m {
-            // Leaf inside the sphere: Algorithm 1 lines 7–9.
-            self.stats.leaves_reached += 1;
-            self.stats.radius_updates += 1;
-            self.best_metric = child_pd;
-            let t0 = span_clock(S::ACTIVE);
-            self.best_path.clear();
-            self.best_path.extend_from_slice(self.path);
-            self.best_path.push(child);
-            self.sink.on_phase(Phase::Leaf, span_ns(t0));
-            self.sink.on_radius_update(depth, child_pd.to_f64());
-        } else {
-            self.path.push(child);
-            self.descend(child_pd);
-            self.path.pop();
-        }
     }
 }
 

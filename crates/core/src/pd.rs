@@ -15,7 +15,15 @@
 //!   `S` whose `P` columns are the candidate symbol vectors. The suffix
 //!   sum is recomputed for every child — more flops, but one dense
 //!   Level-3 kernel per expansion, which is what the FPGA systolic array
-//!   and the MKL/GPU baselines execute.
+//!   and the MKL/GPU baselines execute. On the CPU the kernel holds the
+//!   `P` child accumulators in SoA re/im lanes and loops
+//!   suffix-term-outer, children-inner: each `(r_ij, s_j)` pair is read
+//!   once and fed to every child, the suffix symbols come straight from
+//!   the path (no gather), and with the order fixed at compile time the
+//!   children loop is fixed-width vector code. Each child's own FMA
+//!   sequence is unchanged — the seed `r_ii·ω_c` from zero, then
+//!   `j = i+1..M−1` in order, each term as [`Complex::mul_acc`] — so the
+//!   increments are bit-identical to the per-child scalar loop.
 //! * [`EvalStrategy::Incremental`] — the classic memory-bound SD
 //!   evaluation: the suffix sum `b = ȳ_i − Σ_{j>i} r_{ij} s_j` is computed
 //!   once and each child costs one scalar MAC. Used as the ablation
@@ -27,7 +35,7 @@
 //! ## Arena and batched entry points
 //!
 //! The arena-based searches ([`crate::arena`]) never materialize paths, so
-//! [`eval_children_from_arena`] gathers the suffix straight off the parent
+//! [`eval_children_from_arena`] reads the suffix straight off the parent
 //! chain. Level-synchronous searches (BFS, K-best) go further with
 //! [`eval_children_batch`]: the tree-state matrices of up to
 //! [`MAX_BATCH`] open nodes at the same level form one `k × (B·P)` suffix
@@ -72,8 +80,6 @@ pub struct PdScratch<F: Float> {
     /// Per-child increments of a batched evaluation, laid out
     /// `[node 0's P children, node 1's P children, …]`.
     pub batch_increments: Vec<F>,
-    /// Suffix symbol values `s_{i+1} … s_{M−1}` of the current path.
-    suffix: Vec<Complex<F>>,
     /// Batched tree-state operand `S` in compressed broadcast form,
     /// `k × B`: entry `(off, bi)` is node `bi`'s fixed symbol for suffix
     /// level `off`, implicitly spanning the node's `P` child columns.
@@ -92,9 +98,9 @@ pub struct PdScratch<F: Float> {
 
 impl<F: Float> PdScratch<F> {
     /// Allocate scratch for a problem with branching factor `order`.
-    pub fn new(order: usize, n_tx: usize) -> Self {
+    pub fn new(order: usize) -> Self {
         let mut s = Self::empty();
-        s.ensure(order, n_tx);
+        s.ensure(order);
         s
     }
 
@@ -103,7 +109,6 @@ impl<F: Float> PdScratch<F> {
         PdScratch {
             increments: Vec::new(),
             batch_increments: Vec::new(),
-            suffix: Vec::new(),
             s_mat: sd_math::Matrix::zeros(0, 0),
             s_wide: sd_math::Matrix::zeros(0, 0),
             e_mat: sd_math::Matrix::zeros(0, 0),
@@ -112,16 +117,63 @@ impl<F: Float> PdScratch<F> {
         }
     }
 
-    /// Size the buffers for branching factor `order` and tree depth
-    /// `n_tx`, allocating only on growth.
-    pub fn ensure(&mut self, order: usize, n_tx: usize) {
+    /// Size the buffers for branching factor `order`, allocating only on
+    /// growth.
+    pub fn ensure(&mut self, order: usize) {
         self.increments.clear();
         self.increments.resize(order, F::ZERO);
-        if self.suffix.capacity() < n_tx {
-            self.suffix.reserve(n_tx - self.suffix.capacity());
-        }
     }
 }
+
+/// Children per SoA lane block of the [`EvalStrategy::Gemm`] kernel: the
+/// largest stock constellation order, so every order the exact DFS
+/// monomorphises on is evaluated as one block.
+const LANES: usize = 64;
+
+/// The branching factor a kernel instance works at: the compile-time `P`
+/// when the caller monomorphised on the constellation order, `prep.order`
+/// when `P == 0` (the same code, with a run-time trip count).
+#[inline(always)]
+pub(crate) fn order_of<F: Float, const P: usize>(prep: &Prepared<F>) -> usize {
+    if P == 0 {
+        prep.order
+    } else {
+        debug_assert_eq!(prep.order, P, "kernel monomorphised for another order");
+        P
+    }
+}
+
+/// Evaluate `$body` with the const `$p` bound to `$order` when it is a
+/// stock constellation order (2, 4, 16, 64) and to `0` — "read
+/// `prep.order` at run time" — otherwise: the one place the order-specialised
+/// monomorphs are chosen.
+macro_rules! with_order {
+    ($order:expr, $p:ident => $body:expr) => {
+        match $order {
+            2 => {
+                const $p: usize = 2;
+                $body
+            }
+            4 => {
+                const $p: usize = 4;
+                $body
+            }
+            16 => {
+                const $p: usize = 16;
+                $body
+            }
+            64 => {
+                const $p: usize = 64;
+                $body
+            }
+            _ => {
+                const $p: usize = 0;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_order;
 
 /// Evaluate the `P` child PD increments of the node identified by `path`.
 ///
@@ -135,17 +187,32 @@ pub fn eval_children<F: Float>(
     strategy: EvalStrategy,
     scratch: &mut PdScratch<F>,
 ) -> u64 {
-    let m = prep.n_tx;
+    with_order!(prep.order, P => eval_children_at::<F, P>(prep, path, strategy, scratch))
+}
+
+/// [`eval_children`] with the branching factor fixed at compile time
+/// (`P == 0`: read `prep.order`) — the form the exact DFS walker calls
+/// from its order-specialised monomorphs; [`eval_children`] picks the
+/// monomorph per call.
+#[inline(always)]
+pub(crate) fn eval_children_at<F: Float, const P: usize>(
+    prep: &Prepared<F>,
+    path: &[usize],
+    strategy: EvalStrategy,
+    scratch: &mut PdScratch<F>,
+) -> u64 {
     let depth = path.len();
-    assert!(depth < m, "cannot expand a leaf");
-    // Gather the already-fixed suffix symbol values s_{i+1} … s_{M−1},
-    // deepest-first. path[d] fixed antenna M−1−d, so antenna j = M−1−d
-    // ⇔ d = M−1−j: walking j upward from i+1 is walking d downward.
-    scratch.suffix.clear();
-    for off in 0..depth {
-        scratch.suffix.push(prep.points[path[depth - 1 - off]]);
-    }
-    eval_suffix(prep, depth, strategy, scratch)
+    assert!(depth < prep.n_tx, "cannot expand a leaf");
+    // path[d] fixed antenna M−1−d, so walking the path backwards yields
+    // the suffix s_{i+1}, s_{i+2}, … in PD order — read in place, never
+    // gathered.
+    eval_suffix::<F, P>(
+        prep,
+        depth,
+        path.iter().rev().copied(),
+        strategy,
+        &mut scratch.increments,
+    )
 }
 
 /// [`eval_children`] for an arena node — the suffix is read straight off
@@ -158,46 +225,65 @@ pub fn eval_children_from_arena<F: Float>(
     strategy: EvalStrategy,
     scratch: &mut PdScratch<F>,
 ) -> u64 {
-    let m = prep.n_tx;
     let depth = arena.depth(node);
-    assert!(depth < m, "cannot expand a leaf");
-    scratch.suffix.clear();
-    for sym in arena.ancestry(node) {
-        scratch.suffix.push(prep.points[sym]);
-    }
-    eval_suffix(prep, depth, strategy, scratch)
+    assert!(depth < prep.n_tx, "cannot expand a leaf");
+    let increments = &mut scratch.increments;
+    with_order!(prep.order, P => {
+        eval_suffix::<F, P>(prep, depth, arena.ancestry(node), strategy, increments)
+    })
 }
 
-/// Shared core of the scalar entry points: `scratch.suffix` already holds
-/// `s_{i+1} … s_{M−1}` (deepest-first); evaluate all `P` increments.
-fn eval_suffix<F: Float>(
+/// Shared core of the scalar entry points: `suffix` yields the symbol
+/// indices of `s_{i+1} … s_{M−1}` (deepest-first); evaluate all `P`
+/// increments into `increments`. The module doc describes the
+/// [`EvalStrategy::Gemm`] arm's lane layout and why it is bit-identical.
+#[inline(always)]
+fn eval_suffix<F: Float, const P: usize>(
     prep: &Prepared<F>,
     depth: usize,
+    suffix: impl Iterator<Item = usize> + Clone,
     strategy: EvalStrategy,
-    scratch: &mut PdScratch<F>,
+    increments: &mut [F],
 ) -> u64 {
     let m = prep.n_tx;
     let i = m - 1 - depth; // antenna index fixed by this expansion
-    let p = prep.order;
-    debug_assert_eq!(scratch.increments.len(), p);
-    debug_assert_eq!(scratch.suffix.len(), depth);
+    let p = order_of::<F, P>(prep);
+    let increments = &mut increments[..p];
 
     let ybar_i = prep.ybar[i];
     let r_row = prep.r.row(i);
     let r_ii = r_row[i];
+    // R[i, i+1..M]: suffix level `off` pairs with r_{i,i+1+off}.
+    let r_tail = &r_row[i + 1..];
+    debug_assert_eq!(r_tail.len(), depth);
 
     match strategy {
         EvalStrategy::Gemm => {
             // One (1 × k+1) · (k+1 × P) product: for every child, the full
             // suffix sum is recomputed inside the dense kernel.
-            for (c, inc) in scratch.increments.iter_mut().enumerate() {
-                let mut e = Complex::zero();
-                Complex::mul_acc(&mut e, r_ii, prep.points[c]);
-                for (off, s) in scratch.suffix.iter().enumerate() {
-                    let j = i + 1 + off;
-                    Complex::mul_acc(&mut e, r_row[j], *s);
+            let mut base = 0;
+            while base < p {
+                let w = (p - base).min(LANES);
+                let mut lane_re = [F::ZERO; LANES];
+                let mut lane_im = [F::ZERO; LANES];
+                let (re, im) = (&mut lane_re[..w], &mut lane_im[..w]);
+                for ((lr, li), &point) in re
+                    .iter_mut()
+                    .zip(im.iter_mut())
+                    .zip(&prep.points[base..base + w])
+                {
+                    mul_acc_lane(lr, li, r_ii, point);
                 }
-                *inc = (ybar_i - e).norm_sqr();
+                for (&a, sym) in r_tail.iter().zip(suffix.clone()) {
+                    let s = prep.points[sym];
+                    for (lr, li) in re.iter_mut().zip(im.iter_mut()) {
+                        mul_acc_lane(lr, li, a, s);
+                    }
+                }
+                for ((inc, &lr), &li) in increments[base..base + w].iter_mut().zip(&*re).zip(&*im) {
+                    *inc = (ybar_i - Complex::new(lr, li)).norm_sqr();
+                }
+                base += LANES;
             }
             // 8 real flops per complex MAC, (depth+1) MACs per child, plus
             // the subtraction + norm (≈ 5 flops) per child.
@@ -206,19 +292,28 @@ fn eval_suffix<F: Float>(
         EvalStrategy::Incremental => {
             // Suffix sum once …
             let mut b = ybar_i;
-            for (off, s) in scratch.suffix.iter().enumerate() {
-                let j = i + 1 + off;
-                let delta = r_row[j] * *s;
+            for (&a, sym) in r_tail.iter().zip(suffix) {
+                let delta = a * prep.points[sym];
                 b -= delta;
             }
             // … then one MAC per child.
-            for (c, inc) in scratch.increments.iter_mut().enumerate() {
-                let e = r_ii * prep.points[c];
+            for (inc, &point) in increments.iter_mut().zip(&prep.points) {
+                let e = r_ii * point;
                 *inc = (b - e).norm_sqr();
             }
             8 * depth as u64 + (p as u64) * 13
         }
     }
+}
+
+/// One [`Complex::mul_acc`] on an SoA lane pair: the same four fused
+/// multiply-adds, in the same order, as on an array-of-structs value.
+#[inline(always)]
+fn mul_acc_lane<F: Float>(re: &mut F, im: &mut F, a: Complex<F>, b: Complex<F>) {
+    let mut acc = Complex::new(*re, *im);
+    Complex::mul_acc(&mut acc, a, b);
+    *re = acc.re;
+    *im = acc.im;
 }
 
 /// Evaluate the children of a whole *level* of arena nodes with batched
@@ -506,19 +601,44 @@ pub(crate) fn greedy_tail<F: Float>(
     pd
 }
 
-/// Fill `out` with `(increment, child_index)` pairs in natural child
-/// order, reusing its allocation.
-pub fn children_into<F: Float>(increments: &[F], out: &mut Vec<(F, usize)>) {
-    out.clear();
-    out.extend(increments.iter().copied().enumerate().map(|(i, g)| (g, i)));
+/// Write `(increment, child_index)` pairs into `out` (same length as
+/// `increments`) ascending by increment, ties broken by child index — the
+/// order of [`sorted_children_into`] and of the paper's sorted insertion.
+/// The key (`to_f64().total_cmp`, then index) is a total order, so every
+/// correct sort puts each child in the same slot.
+///
+/// This one is a branchless rank sort: a child's slot is the number of
+/// siblings ordered before it — earlier siblings whose key is `≤` its own,
+/// later ones whose key is `<`. Its `P²` compares are integer ops with no
+/// data-dependent branch, and for a constant `P` they vectorise. Against
+/// an insertion sort it is faster at 4 and 64 children and ~7% slower at
+/// 16; the insertion sort's mispredicted exits made 64-QAM slower than the
+/// general sort this replaced. NaN increments (possible in reduced
+/// precision) order last via the `total_cmp` key instead of panicking.
+#[inline(always)]
+pub(crate) fn sort_children<F: Float>(increments: &[F], out: &mut [(F, usize)]) {
+    debug_assert_eq!(increments.len(), out.len());
+    /// `f64::total_cmp`'s key: the bits as a signed integer, with the
+    /// magnitude bits flipped for negative values.
+    #[inline(always)]
+    fn key<F: Float>(x: F) -> i64 {
+        let b = x.to_f64().to_bits() as i64;
+        b ^ ((((b >> 63) as u64) >> 1) as i64)
+    }
+    for (c, &inc) in increments.iter().enumerate() {
+        let k = key(inc);
+        let before = increments[..c].iter().filter(|&&o| key(o) <= k).count();
+        let after = increments[c + 1..].iter().filter(|&&o| key(o) < k).count();
+        out[before + after] = (inc, c);
+    }
 }
 
 /// [`sorted_children`] into a caller-owned buffer — the allocation-free
-/// form the arena searches use. NaN increments (possible in reduced
-/// precision) order last via `total_cmp` instead of panicking.
+/// form the subtree-parallel searches use.
 pub fn sorted_children_into<F: Float>(increments: &[F], out: &mut Vec<(F, usize)>) {
-    children_into(increments, out);
-    out.sort_unstable_by(|a, b| a.0.to_f64().total_cmp(&b.0.to_f64()).then(a.1.cmp(&b.1)));
+    out.clear();
+    out.resize(increments.len(), (F::ZERO, 0));
+    sort_children(increments, out);
 }
 
 /// Sort child indices ascending by increment — the paper's sorted
@@ -550,8 +670,8 @@ mod tests {
     #[test]
     fn strategies_agree() {
         let (_, prep) = setup(6, Modulation::Qam16, 1);
-        let mut s1 = PdScratch::new(16, 6);
-        let mut s2 = PdScratch::new(16, 6);
+        let mut s1 = PdScratch::new(16);
+        let mut s2 = PdScratch::new(16);
         let paths: [&[usize]; 4] = [&[], &[3], &[3, 7], &[0, 15, 8, 2, 11]];
         for path in paths {
             eval_children(&prep, path, EvalStrategy::Gemm, &mut s1);
@@ -566,8 +686,8 @@ mod tests {
     fn arena_eval_is_bit_identical_to_path_eval() {
         let (_, prep) = setup(6, Modulation::Qam16, 6);
         let mut arena = NodeArena::new();
-        let mut s1 = PdScratch::new(16, 6);
-        let mut s2 = PdScratch::new(16, 6);
+        let mut s1 = PdScratch::new(16);
+        let mut s2 = PdScratch::new(16);
         let path = [0usize, 15, 8, 2, 11];
         let mut id = NIL;
         for strategy in [EvalStrategy::Gemm, EvalStrategy::Incremental] {
@@ -598,8 +718,8 @@ mod tests {
             let b = arena.alloc(a, (c0 + 5) % p);
             nodes.push(arena.alloc(b, (3 * c0) % p));
         }
-        let mut batch = PdScratch::new(p, 7);
-        let mut scalar = PdScratch::new(p, 7);
+        let mut batch = PdScratch::new(p);
+        let mut scalar = PdScratch::new(p);
         for algo in [GemmAlgo::Naive, GemmAlgo::Blocked, GemmAlgo::Parallel] {
             let flops = eval_children_batch(&prep, &arena, &nodes, algo, &mut batch);
             let mut scalar_flops = 0;
@@ -631,8 +751,8 @@ mod tests {
         let nodes: Vec<u32> = (0..MAX_BATCH + 37)
             .map(|i| arena.alloc(NIL, i % p))
             .collect();
-        let mut batch = PdScratch::new(p, 4);
-        let mut scalar = PdScratch::new(p, 4);
+        let mut batch = PdScratch::new(p);
+        let mut scalar = PdScratch::new(p);
         eval_children_batch(&prep, &arena, &nodes, GemmAlgo::Blocked, &mut batch);
         assert_eq!(batch.batch_increments.len(), nodes.len() * p);
         for (bi, &node) in nodes.iter().enumerate() {
@@ -678,8 +798,8 @@ mod tests {
         let depth = 3;
         let i_ant = n - 1 - depth;
         let ybars: Vec<_> = preps.iter().map(|pr| pr.ybar[i_ant]).collect();
-        let mut fused = PdScratch::new(p, n);
-        let mut per_sc = PdScratch::new(p, n);
+        let mut fused = PdScratch::new(p);
+        let mut per_sc = PdScratch::new(p);
         for algo in [GemmAlgo::Naive, GemmAlgo::Blocked, GemmAlgo::Parallel] {
             let flops = eval_children_batch_fused(
                 &preps[0], &arena, &nodes, &ybars, stride, algo, &mut fused,
@@ -711,7 +831,7 @@ mod tests {
         // Summing increments along a root-to-leaf path must equal the full
         // metric of the leaf (minus the constant tail).
         let (_, prep) = setup(5, Modulation::Qam4, 2);
-        let mut scratch = PdScratch::new(4, 5);
+        let mut scratch = PdScratch::new(4);
         let leaf = [2usize, 0, 3, 1, 2]; // depth order (antenna 4 .. 0)
         let mut pd = 0.0f64;
         for depth in 0..5 {
@@ -733,7 +853,7 @@ mod tests {
     #[test]
     fn gemm_charges_more_flops_at_depth() {
         let (_, prep) = setup(8, Modulation::Qam4, 3);
-        let mut scratch = PdScratch::new(4, 8);
+        let mut scratch = PdScratch::new(4);
         let path = vec![0usize, 1, 2, 3, 0, 1];
         let f_gemm = eval_children(&prep, &path, EvalStrategy::Gemm, &mut scratch);
         let f_inc = eval_children(&prep, &path, EvalStrategy::Incremental, &mut scratch);
@@ -747,7 +867,7 @@ mod tests {
     fn root_expansion_uses_only_diagonal() {
         // At the root, increment for child c is |ȳ_{M−1} − r_{M−1,M−1}·ω_c|².
         let (_, prep) = setup(4, Modulation::Qam4, 4);
-        let mut scratch = PdScratch::new(4, 4);
+        let mut scratch = PdScratch::new(4);
         eval_children(&prep, &[], EvalStrategy::Gemm, &mut scratch);
         let i = 3;
         for c in 0..4 {
@@ -769,6 +889,43 @@ mod tests {
     }
 
     #[test]
+    fn rank_sort_matches_a_total_cmp_sort() {
+        // The rank sort must land every child where a general sort on the
+        // same key (`total_cmp`, then index) does: duplicates, signed
+        // zeros, infinities and NaNs of both signs included.
+        use rand::Rng;
+        let specials = [
+            0.0f64,
+            -0.0,
+            1.0,
+            1.0,
+            f64::INFINITY,
+            -f64::NAN,
+            f64::NAN,
+            0.5,
+        ];
+        let mut rng = StdRng::seed_from_u64(12);
+        for p in [1usize, 2, 4, 8, 16, 64] {
+            for _ in 0..50 {
+                let incs: Vec<f64> = (0..p)
+                    .map(|_| {
+                        let r = rng.gen_range(0..3 * specials.len());
+                        specials.get(r).copied().unwrap_or(r as f64 * 0.25)
+                    })
+                    .collect();
+                let mut want: Vec<(f64, usize)> = incs.iter().copied().zip(0..).collect();
+                want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mut got = vec![(0.0, usize::MAX); p];
+                sort_children(&incs, &mut got);
+                let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                    v.iter().map(|&(x, i)| (x.to_bits(), i)).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{incs:?}");
+            }
+        }
+    }
+
+    #[test]
     fn sorted_children_tolerates_nan() {
         // A NaN increment (overflow in reduced precision) must order last,
         // not panic the decode.
@@ -783,7 +940,7 @@ mod tests {
     #[should_panic(expected = "cannot expand a leaf")]
     fn leaf_expansion_rejected() {
         let (_, prep) = setup(3, Modulation::Qam4, 5);
-        let mut scratch = PdScratch::new(4, 3);
+        let mut scratch = PdScratch::new(4);
         eval_children(&prep, &[0, 1, 2], EvalStrategy::Gemm, &mut scratch);
     }
 }

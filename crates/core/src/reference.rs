@@ -58,7 +58,7 @@ pub fn best_first_reference<F: Float>(
 ) -> Detection {
     let m = prep.n_tx;
     let p = prep.order;
-    let mut scratch = PdScratch::new(p, m);
+    let mut scratch = PdScratch::new(p);
     let mut stats = DetectionStats {
         per_level_generated: vec![0; m],
         ..Default::default()
@@ -127,7 +127,7 @@ pub fn bfs_reference<F: Float>(
 ) -> Detection {
     let m = prep.n_tx;
     let p = prep.order;
-    let mut scratch = PdScratch::new(p, m);
+    let mut scratch = PdScratch::new(p);
     let mut stats = DetectionStats {
         per_level_generated: vec![0; m],
         ..Default::default()
@@ -186,7 +186,7 @@ pub fn bfs_reference<F: Float>(
 pub fn kbest_reference<F: Float>(prep: &Prepared<F>, k: usize) -> Detection {
     let m = prep.n_tx;
     let p = prep.order;
-    let mut scratch = PdScratch::new(p, m);
+    let mut scratch = PdScratch::new(p);
     let mut stats = DetectionStats {
         per_level_generated: vec![0; m],
         ..Default::default()
@@ -297,7 +297,7 @@ pub fn dfs_reference<F: Float>(
 
     let mut search = RefSearch {
         prep,
-        scratch: PdScratch::new(prep.order, prep.n_tx),
+        scratch: PdScratch::new(prep.order),
         stats: DetectionStats {
             per_level_generated: vec![0; prep.n_tx],
             ..Default::default()

@@ -101,7 +101,7 @@ impl<F: Float> SoftSphereDecoder<F> {
     pub fn detect_soft_prepared(&self, prep: &Prepared<F>) -> SoftDetection {
         let m = prep.n_tx;
         let p = prep.order;
-        let mut scratch = PdScratch::new(p, m);
+        let mut scratch = PdScratch::new(p);
         let mut stats = DetectionStats {
             per_level_generated: vec![0; m],
             ..Default::default()

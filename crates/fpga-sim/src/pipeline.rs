@@ -199,7 +199,7 @@ impl FpgaSphereDecoder {
             per_level_generated: vec![0; m],
             ..Default::default()
         };
-        let mut scratch = PdScratch::new(p, m);
+        let mut scratch = PdScratch::new(p);
         let mut mst = MetaStateTable::new(m);
 
         let mut r2 = self

@@ -26,7 +26,7 @@ fn main() {
     );
     println!("initial squared radius r^2 = 100\n");
 
-    let mut scratch = PdScratch::new(2, 3);
+    let mut scratch = PdScratch::new(2);
     let mut best: Option<(f64, Vec<usize>)> = None;
     let mut radius_sqr = 100.0f64;
     let mut visited = 0usize;
